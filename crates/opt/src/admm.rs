@@ -59,7 +59,7 @@
 //! `gap_tol · (1 + |E|)`. The gap is also checked on the starting point,
 //! so a warm start that is already optimal returns after zero rounds.
 
-use crate::energy_program::EnergyProgram;
+use crate::energy_program::{EnergyProgram, X_FLOOR};
 use crate::scalar::bisect;
 use crate::solver::{IterSample, SolveOptions, SolveResult, SolverTelemetry};
 use esched_obs::pool::Pool;
@@ -145,9 +145,11 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
     // objective) while their prices crawl up one residual per round. A
     // curvature-matched ρ_i both tempers each task's prox and, through
     // the ρ-weighted projection below, makes the consensus step respect
-    // how expensive it is to move each task.
+    // how expensive it is to move each task. X is floored where the
+    // objective floors it, so ρ_i can still reach the curvature of optima
+    // far below 1e-6.
     let task_curvature = |z: &[f64], i: usize| -> f64 {
-        let xi = ep.total_time(z, i).max(1e-6);
+        let xi = ep.total_time(z, i).max(X_FLOOR);
         let c = ep.work_of_task(i);
         let curv = gamma * alpha * (alpha - 1.0) * c.powf(alpha) * xi.powf(-alpha - 1.0);
         if curv.is_finite() {
@@ -203,6 +205,7 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
     let mut last_stall_gap = f64::INFINITY;
     let mut no_progress = 0usize;
     let mut rho_steps = 0usize;
+    let mut rho_steps_at_stall = 0usize;
     let mut iter_trace = opts.trace_iters.then(Vec::new);
     // Tail-window ergodic average of z, evaluated whenever the live
     // iterate fails a gap check (see `try_adopt_average`).
@@ -392,8 +395,16 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
                     // numerical floor (a frozen point): stop honestly
                     // (converged stays false) instead of burning the
                     // whole iteration budget there. Any real progress,
-                    // however slow, resets the strike counter.
-                    if gap >= 0.9999 * last_stall_gap {
+                    // however slow, resets the strike counter, and so
+                    // does a window in which the penalty refresh still
+                    // stepped: the point is not frozen while the metric
+                    // is moving. A tiny-work task cold-started on its
+                    // whole window looks frozen at zero for hundreds of
+                    // rounds while its ρ_i climbs 2× per refresh from
+                    // RHO_TASK_MIN to its optimum's curvature.
+                    if rho_steps > rho_steps_at_stall {
+                        no_progress = 0;
+                    } else if gap >= 0.9999 * last_stall_gap {
                         no_progress += 1;
                         if no_progress >= 3 {
                             break;
@@ -402,6 +413,7 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
                         no_progress = 0;
                     }
                     last_stall_gap = gap;
+                    rho_steps_at_stall = rho_steps;
                     stalled = 0;
                 }
             }

@@ -37,7 +37,7 @@ use esched_types::{PolynomialPower, TaskSet};
 /// reference frequency. Keeps the objective and gradient finite; the true
 /// optimum is always far from this floor because energy diverges as
 /// `X_i → 0`.
-const X_FLOOR: f64 = 1e-9;
+pub(crate) const X_FLOOR: f64 = 1e-9;
 
 /// The convex program instance: layout plus oracle.
 #[derive(Debug, Clone)]

@@ -9,8 +9,19 @@
 //! already "knows" — energy, work, legality — so the two can be
 //! cross-checked: if the algebra in `esched-core` and the event mechanics
 //! here ever disagree, a test fails.
+//!
+//! # Event order
+//!
+//! All events are sorted once, before the run, by time, then rank (ends,
+//! deadlines, releases, starts), then segment index (for segment
+//! boundaries) or task id (for releases and deadlines). −0.0 and +0.0 are
+//! the same time. The engine then takes them in *batches* of approximately
+//! equal times and processes each batch by rank, then time; events tied on
+//! both keep the sorted order. So two starts on one idle core at the same
+//! instant resolve in segment-list order: the earlier segment runs and the
+//! later one is the [`Conflict`].
 
-use crate::event::{Event, EventKind, EventQueue};
+use crate::event::{sorted_events, Event, EventKind};
 use crate::machine::Core;
 use crate::metrics::{Conflict, SimReport};
 use esched_types::validate::WORK_TOL;
@@ -75,6 +86,43 @@ pub fn simulate_traced<P: PowerModel>(
     (report, log)
 }
 
+/// The engine's mutable per-core state, and the work it has credited.
+struct State {
+    cores: Vec<Core>,
+    /// State transitions per core, in both directions.
+    transitions: Vec<usize>,
+    /// Which segment each core is currently executing. An end event may
+    /// only stop the core when it matches the running segment: a segment
+    /// shorter than the batching tolerance has its start *and* end inside
+    /// one batch, and the rank rule alone would process that end first —
+    /// while the core is idle (consuming it, so the segment later runs
+    /// unterminated) or running someone else entirely.
+    running: Vec<Option<usize>>,
+    /// Work delivered to each task so far.
+    work_done: Vec<f64>,
+}
+
+impl State {
+    /// Stop `core` at `time`, crediting the measured work to the task the
+    /// machine reports. Returns that task, if the core was running.
+    fn stop<P: PowerModel>(&mut self, core: usize, time: f64, model: &P) -> Option<usize> {
+        self.running[core] = None;
+        let (task, work) = self.cores[core].stop(time, model)?;
+        self.transitions[core] += 1;
+        if let Some(done) = self.work_done.get_mut(task) {
+            *done += work;
+        }
+        Some(task)
+    }
+
+    /// End `task`'s segment on `core`. The machine must be running that
+    /// task: every caller first checks that `core` runs the segment.
+    fn end<P: PowerModel>(&mut self, core: usize, task: usize, time: f64, model: &P) {
+        let stopped = self.stop(core, time, model).unwrap_or(task);
+        debug_assert_eq!(stopped, task, "segment end for a different task");
+    }
+}
+
 fn run<P: PowerModel>(
     schedule: &Schedule,
     tasks: &TaskSet,
@@ -88,84 +136,38 @@ fn run<P: PowerModel>(
         n_tasks = tasks.len(),
         cores = schedule.cores,
     );
-    let mut queue = EventQueue::new();
-    for (idx, seg) in schedule.segments().iter().enumerate() {
-        queue.push(Event {
-            time: seg.interval.start,
-            kind: EventKind::SegmentStart {
-                core: seg.core,
-                task: seg.task,
-                segment: idx,
-                freq: seg.freq,
-            },
-        });
-        queue.push(Event {
-            time: seg.interval.end,
-            kind: EventKind::SegmentEnd {
-                core: seg.core,
-                task: seg.task,
-                segment: idx,
-            },
-        });
-    }
-    for (id, t) in tasks.iter() {
-        queue.push(Event {
-            time: t.release,
-            kind: EventKind::Release { task: id },
-        });
-        queue.push(Event {
-            time: t.deadline,
-            kind: EventKind::Deadline { task: id },
-        });
-    }
+    let events = sorted_events(schedule, tasks);
+    let segments = schedule.segments();
 
-    let mut cores: Vec<Core> = (0..schedule.cores).map(|_| Core::default()).collect();
-    let mut work_done = vec![0.0_f64; tasks.len()];
-    let mut released = vec![false; tasks.len()];
+    let mut state = State {
+        cores: (0..schedule.cores).map(|_| Core::default()).collect(),
+        transitions: vec![0; schedule.cores],
+        running: vec![None; schedule.cores],
+        work_done: vec![0.0; tasks.len()],
+    };
     let mut misses: Vec<usize> = Vec::new();
     let mut conflicts: Vec<Conflict> = Vec::new();
-    // Starts the engine rejected; their matching end events must not stop
-    // the victim that is legitimately running.
-    let mut rejected_segments: Vec<usize> = Vec::new();
-    // Counters surfaced in the report. All events are queued up front, so
-    // the queue's high-water mark is its depth before the loop drains it.
-    let queue_peak = queue.len();
-    let mut core_transitions = vec![0usize; schedule.cores];
+    // Starts the engine rejected, by segment index; their matching end
+    // events must not stop the victim that is legitimately running.
+    let mut rejected = vec![false; schedule.len()];
+    // Counters surfaced in the report. All events are listed up front, so
+    // the queue's high-water mark is the length of that list.
+    let queue_peak = events.len();
+    let mut batches = 0u64;
     let mut preemptions = 0usize;
     let mut migrations = 0usize;
     // Last core each task ran on, for resume/migration detection.
     let mut last_core: Vec<Option<usize>> = vec![None; tasks.len()];
-    // Which segment each core is currently executing. An end event may
-    // only stop the core when it matches the running segment: a segment
-    // shorter than the batching tolerance has its start *and* end inside
-    // one batch, and the rank rule alone would process that end first —
-    // while the core is idle (consuming it, so the segment later runs
-    // unterminated) or running someone else entirely.
-    let mut running_segment: Vec<Option<usize>> = vec![None; schedule.cores];
-
-    // Stop `core` at `time`, crediting the measured work to the task the
-    // machine reports (asserted to be the segment's own task — the
-    // `running_segment` guard at both call sites makes this an invariant).
-    #[allow(clippy::too_many_arguments)] // threads the engine's mutable state
-    fn finish<P: PowerModel>(
-        cores: &mut [Core],
-        core: usize,
-        time: f64,
-        model: &P,
-        task: usize,
-        core_transitions: &mut [usize],
-        work_done: &mut [f64],
-        running_segment: &mut [Option<usize>],
-    ) {
-        if let Some((t, w)) = cores[core].stop(time, model) {
-            debug_assert_eq!(t, task, "segment end for a different task");
-            core_transitions[core] += 1;
-            if t < work_done.len() {
-                work_done[t] += w;
-            }
+    let mut emit = |time: f64, kind: &str, task: usize, core: usize| {
+        if let Some(l) = log.as_deref_mut() {
+            l.push(LoggedEvent {
+                time,
+                kind: kind.to_string(),
+                task,
+                core,
+            });
         }
-        running_segment[core] = None;
-    }
+    };
 
     let horizon = tasks.horizon();
     // Events are processed in *batches* of approximately equal timestamps:
@@ -173,78 +175,51 @@ fn run<P: PowerModel>(
     // timeline compression vs. direct packing) can differ by a few ulps,
     // and a start must not race ahead of the end it hands over from. Within
     // a batch the EventKind rank (ends → deadlines → releases → starts)
-    // decides the order; `EventQueue` already pops in that order for
+    // decides the order; the sorted list is already in that order for
     // *exactly* equal times, so batching only needs to collect the
     // near-equal ones and re-sort by rank.
     let mut batch: Vec<Event> = Vec::new();
-    'outer: loop {
+    // Segments whose end came while their core was not running them: their
+    // start is later in the same batch (the segment is shorter than the
+    // batching tolerance). The end is retried once the start has been
+    // processed — just before a handover start that needs the core, or at
+    // the end of the batch, which drains the list.
+    let mut deferred_ends: Vec<usize> = Vec::new();
+    let mut cursor = 0;
+    while cursor < events.len() {
         batch.clear();
-        match queue.pop() {
-            Some(first) => batch.push(first),
-            None => break 'outer,
-        }
-        let batch_time = batch[0].time;
-        while let Some(next) = queue.pop() {
-            if esched_types::time::approx_eq(next.time, batch_time) {
-                batch.push(next);
-            } else {
-                // Not part of the batch; push back and stop collecting.
-                queue.push(next);
+        let batch_time = events[cursor].time;
+        while let Some(key) = events.get(cursor) {
+            if !esched_types::time::approx_eq(key.time, batch_time) {
                 break;
             }
+            batch.push(key.decode(schedule, tasks));
+            cursor += 1;
         }
-        esched_obs::metric_counter!("esched.sim.event_batches").inc();
-        esched_obs::metric_counter!("esched.sim.events").add(batch.len() as u64);
+        batches += 1;
         // Rank first: an end one ulp *after* a start at the "same" instant
         // must still be processed before it.
         batch.sort_by(|a, b| {
-            a.kind
-                .rank()
-                .cmp(&b.kind.rank())
-                .then(a.time.partial_cmp(&b.time).expect("finite"))
+            let key = |e: &Event| (e.kind.rank(), e.time);
+            key(a).partial_cmp(&key(b)).expect("finite")
         });
-        // Ends whose segment is not the one the core is running: their
-        // start is later in this same batch (the segment is shorter than
-        // the batching tolerance). They are retried once their start has
-        // been processed — just before a handover start that needs the
-        // core, or at the end of the batch.
-        let mut deferred_ends: Vec<Event> = Vec::new();
         for idx in 0..batch.len() {
             let ev = batch[idx];
-            let mut emit = |time: f64, kind: &str, task: usize, core: usize| {
-                if let Some(l) = log.as_deref_mut() {
-                    l.push(LoggedEvent {
-                        time,
-                        kind: kind.to_string(),
-                        task,
-                        core,
-                    });
-                }
-            };
             match ev.kind {
                 EventKind::SegmentEnd {
                     core,
                     segment,
                     task,
                 } => {
-                    if rejected_segments.contains(&segment) {
+                    if rejected[segment] {
                         continue;
                     }
-                    if running_segment[core] != Some(segment) {
-                        deferred_ends.push(ev);
+                    if state.running[core] != Some(segment) {
+                        deferred_ends.push(segment);
                         continue;
                     }
                     emit(ev.time, "end", task, core);
-                    finish(
-                        &mut cores,
-                        core,
-                        ev.time,
-                        model,
-                        task,
-                        &mut core_transitions,
-                        &mut work_done,
-                        &mut running_segment,
-                    );
+                    state.end(core, task, ev.time, model);
                 }
                 EventKind::Deadline { task } => {
                     emit(ev.time, "deadline", task, usize::MAX);
@@ -256,7 +231,7 @@ fn run<P: PowerModel>(
                     // WORK_TOL — the same relative-plus-absolute rule
                     // `validate_schedule` applies — is therefore a real miss,
                     // never a boundary-rounding artifact.
-                    let mut shortfall = required - work_done[task];
+                    let mut shortfall = required - state.work_done[task];
                     debug_assert!(
                         shortfall.is_finite(),
                         "non-finite work accounting for task {task}"
@@ -274,12 +249,9 @@ fn run<P: PowerModel>(
                                 EventKind::SegmentStart {
                                     task: t, segment, ..
                                 } if t == task => {
-                                    let seg = &schedule.segments()[segment];
-                                    if esched_types::time::approx_le(seg.interval.end, ev.time) {
-                                        Some(seg.work())
-                                    } else {
-                                        None
-                                    }
+                                    let seg = &segments[segment];
+                                    esched_types::time::approx_le(seg.interval.end, ev.time)
+                                        .then(|| seg.work())
                                 }
                                 _ => None,
                             })
@@ -291,60 +263,37 @@ fn run<P: PowerModel>(
                         misses.push(task);
                     }
                 }
-                EventKind::Release { task } => {
-                    emit(ev.time, "release", task, usize::MAX);
-                    released[task] = true;
-                }
+                // Running before release is a window violation the validator
+                // reports; the simulator executes it anyway (hardware would),
+                // and deadline accounting still works.
+                EventKind::Release { task } => emit(ev.time, "release", task, usize::MAX),
                 EventKind::SegmentStart {
                     core,
                     task,
                     segment,
                     freq,
                 } => {
-                    if task < released.len() && !released[task] {
-                        // Running before release is a window violation the
-                        // validator reports; the simulator executes it anyway
-                        // (hardware would) — deadline accounting still works.
-                    }
                     // A deferred end for the segment this core is running is a
                     // handover boundary: it must fire before this start can
                     // take the core.
-                    if let Some(pos) = deferred_ends.iter().position(|e| match e.kind {
-                        EventKind::SegmentEnd {
-                            core: c,
-                            segment: s,
-                            ..
-                        } => c == core && running_segment[core] == Some(s),
-                        _ => false,
-                    }) {
-                        let e = deferred_ends.remove(pos);
-                        if let EventKind::SegmentEnd { task: t, .. } = e.kind {
-                            emit(e.time, "end", t, core);
-                            finish(
-                                &mut cores,
-                                core,
-                                e.time,
-                                model,
-                                t,
-                                &mut core_transitions,
-                                &mut work_done,
-                                &mut running_segment,
-                            );
-                        }
+                    if let Some(pos) = deferred_ends
+                        .iter()
+                        .position(|&s| segments[s].core == core && state.running[core] == Some(s))
+                    {
+                        let ended = &segments[deferred_ends.remove(pos)];
+                        emit(ended.interval.end, "end", ended.task, core);
+                        state.end(core, ended.task, ended.interval.end, model);
                     }
-                    match cores[core].start(task, freq, ev.time) {
+                    match state.cores[core].start(task, freq, ev.time) {
                         Ok(()) => {
                             emit(ev.time, "start", task, core);
-                            running_segment[core] = Some(segment);
-                            core_transitions[core] += 1;
-                            if task < last_core.len() {
-                                if let Some(prev) = last_core[task] {
+                            state.running[core] = Some(segment);
+                            state.transitions[core] += 1;
+                            if let Some(last) = last_core.get_mut(task) {
+                                if let Some(prev) = last.replace(core) {
                                     preemptions += 1;
-                                    if prev != core {
-                                        migrations += 1;
-                                    }
+                                    migrations += usize::from(prev != core);
                                 }
-                                last_core[task] = Some(core);
                             }
                         }
                         Err(running) => {
@@ -355,7 +304,7 @@ fn run<P: PowerModel>(
                                 running,
                                 rejected: task,
                             });
-                            rejected_segments.push(segment);
+                            rejected[segment] = true;
                         }
                     }
                 }
@@ -366,36 +315,14 @@ fn run<P: PowerModel>(
         // its start conflicted (drop it silently, like any rejected end),
         // or the schedule is malformed (log the end, leave the core alone
         // — the horizon flush settles the energy/work books).
-        for e in deferred_ends.drain(..) {
-            if let EventKind::SegmentEnd {
-                core,
-                segment,
-                task,
-            } = e.kind
-            {
-                if rejected_segments.contains(&segment) {
-                    continue;
-                }
-                if let Some(l) = log.as_deref_mut() {
-                    l.push(LoggedEvent {
-                        time: e.time,
-                        kind: "end".to_string(),
-                        task,
-                        core,
-                    });
-                }
-                if running_segment[core] == Some(segment) {
-                    finish(
-                        &mut cores,
-                        core,
-                        e.time,
-                        model,
-                        task,
-                        &mut core_transitions,
-                        &mut work_done,
-                        &mut running_segment,
-                    );
-                }
+        for segment in deferred_ends.drain(..) {
+            let seg = &segments[segment];
+            if rejected[segment] {
+                continue;
+            }
+            emit(seg.interval.end, "end", seg.task, seg.core);
+            if state.running[seg.core] == Some(segment) {
+                state.end(seg.core, seg.task, seg.interval.end, model);
             }
         }
     }
@@ -403,18 +330,15 @@ fn run<P: PowerModel>(
     // Flush any cores still active (segments ending exactly at horizon end
     // have been processed; this guards malformed schedules).
     let end_time = schedule.makespan().max(horizon.end);
-    for (k, c) in cores.iter_mut().enumerate() {
-        if let Some((t, w)) = c.stop(end_time, model) {
-            core_transitions[k] += 1;
-            if t < work_done.len() {
-                work_done[t] += w;
-            }
-        }
+    for core in 0..schedule.cores {
+        state.stop(core, end_time, model);
     }
 
     misses.sort_unstable();
     misses.dedup();
     esched_obs::metric_counter!("esched.sim.runs").inc();
+    esched_obs::metric_counter!("esched.sim.event_batches").add(batches);
+    esched_obs::metric_counter!("esched.sim.events").add(queue_peak as u64);
     esched_obs::metric_counter!("esched.sim.preemptions").add(preemptions as u64);
     esched_obs::metric_counter!("esched.sim.migrations").add(migrations as u64);
     esched_obs::metric_gauge!("esched.sim.queue_peak").set_max(queue_peak as f64);
@@ -428,14 +352,14 @@ fn run<P: PowerModel>(
         conflicts = conflicts.len(),
     );
     SimReport {
-        energy: cores.iter().map(|c| c.energy).sum(),
-        core_energy: cores.iter().map(|c| c.energy).collect(),
-        core_busy: cores.iter().map(|c| c.busy).collect(),
-        work_done,
+        energy: state.cores.iter().map(|c| c.energy).sum(),
+        core_energy: state.cores.iter().map(|c| c.energy).collect(),
+        core_busy: state.cores.iter().map(|c| c.busy).collect(),
+        work_done: state.work_done,
         deadline_misses: misses,
         conflicts,
-        activations: cores.iter().map(|c| c.activations).collect(),
-        core_transitions,
+        activations: state.cores.iter().map(|c| c.activations).collect(),
+        core_transitions: state.transitions,
         queue_peak,
         preemptions,
         migrations,
@@ -516,22 +440,34 @@ mod tests {
         assert_eq!(r.activations[0], 2);
     }
 
+    /// `time kind task` of each logged event.
+    fn rows(log: &[LoggedEvent]) -> String {
+        let rows: Vec<String> = log
+            .iter()
+            .map(|e| format!("{} {} {}", e.time, e.kind, e.task))
+            .collect();
+        rows.join(", ")
+    }
+
     #[test]
     fn traced_run_logs_events_in_order() {
+        // Time order, then ends → deadlines → releases → starts. Task ids
+        // and segment indices run against both, so only the event sort can
+        // put them right.
         let mut s = Schedule::new(1);
-        s.push(Segment::new(0, 0, 0.0, 4.0, 1.0));
-        let ts = TaskSet::from_triples(&[(0.0, 4.0, 4.0)]);
+        s.push(Segment::new(0, 0, 5.0, 10.0, 1.0));
+        s.push(Segment::new(1, 0, 1.0, 5.0, 1.0));
+        let ts = TaskSet::from_triples(&[(5.0, 10.0, 5.0), (1.0, 5.0, 4.0)]);
         let (report, log) = super::simulate_traced(&s, &ts, &PolynomialPower::cubic());
         assert!(report.is_clean());
-        let kinds: Vec<&str> = log.iter().map(|e| e.kind.as_str()).collect();
-        assert_eq!(kinds, vec!["release", "start", "end", "deadline"]);
-        // Timestamps non-decreasing.
-        for w in log.windows(2) {
-            assert!(w[0].time <= w[1].time + 1e-9);
-        }
+        assert_eq!(
+            rows(&log),
+            "1 release 1, 1 start 1, 5 end 1, 5 deadline 1, 5 release 0, 5 start 0, \
+             10 end 0, 10 deadline 0"
+        );
         // CSV renders with a header and one row per event.
         let csv = super::log_to_csv(&log);
-        assert_eq!(csv.lines().count(), 5);
+        assert_eq!(csv.lines().count(), 9);
         assert!(csv.starts_with("time,kind,task,core\n"));
         // Deadline rows leave the core column empty.
         assert!(csv.lines().last().unwrap().ends_with(','));
@@ -648,6 +584,49 @@ mod tests {
         // everything up to the horizon flush.
         assert!((r.work_done[1] - dust).abs() < 1e-9);
         assert!((r.work_done[2] - (4.0 - dust)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn signed_zero_boundaries_hand_over_cleanly() {
+        // −0.0 and +0.0 are one instant: the end must still come first.
+        let ts = TaskSet::from_triples(&[(-2.0, 0.0, 2.0), (0.0, 2.0, 2.0)]);
+        for (end, start) in [(-0.0, 0.0), (0.0, -0.0)] {
+            let mut s = Schedule::new(1);
+            s.push(Segment::new(1, 0, start, 2.0, 1.0));
+            s.push(Segment::new(0, 0, -2.0, end, 1.0));
+            let (r, log) = simulate_traced(&s, &ts, &PolynomialPower::cubic());
+            assert!(r.is_clean(), "{r:?}");
+            assert_eq!(
+                rows(&log),
+                format!(
+                    "-2 release 0, -2 start 0, {end} end 0, 0 deadline 0, 0 release 1, \
+                     {start} start 1, 2 end 1, 2 deadline 1"
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn tied_starts_on_an_idle_core_run_the_lower_segment_index() {
+        let ts = TaskSet::from_triples(&[(0.0, 9.0, 2.0), (0.0, 9.0, 3.0)]);
+        for (first, second) in [(0, 1), (1, 0)] {
+            let mut s = Schedule::new(1);
+            s.push(Segment::new(first, 0, 2.0, 4.0 + first as f64, 1.0));
+            s.push(Segment::new(second, 0, 2.0, 4.0 + second as f64, 1.0));
+            let r = simulate(&s, &ts, &PolynomialPower::cubic());
+            let (running, rejected) = (first, second);
+            let conflict = Conflict {
+                time: 2.0,
+                core: 0,
+                running,
+                rejected,
+            };
+            assert_eq!(r.conflicts, vec![conflict]);
+            // The rejected segment's end leaves the winner running to its
+            // own end.
+            assert!((r.work_done[first] - (2.0 + first as f64)).abs() < 1e-12);
+            assert_eq!(r.work_done[second], 0.0);
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Event types and the time-ordered event queue.
+//! Event types and the sorted event list.
 //!
 //! The simulator is event-driven: every segment boundary, task release,
 //! and task deadline becomes an [`Event`], processed in global time order
 //! with a deterministic tie-break (ends before starts at the same instant,
 //! so back-to-back segments hand over cleanly).
+//!
+//! Every event is known before the run starts, so the engine sorts them
+//! once, as compact [`EventKey`]s, and walks the sorted list with a cursor.
+//! A key is decoded into a full [`Event`] only when the engine reaches it.
 
-use esched_types::TaskId;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use esched_types::{Schedule, TaskId, TaskSet};
 
 /// What happens at an event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,14 +46,19 @@ pub enum EventKind {
     },
 }
 
+const END: u8 = 0;
+const DEADLINE: u8 = 1;
+const RELEASE: u8 = 2;
+const START: u8 = 3;
+
 impl EventKind {
     /// Processing priority at equal timestamps (lower first).
     pub(crate) fn rank(&self) -> u8 {
         match self {
-            EventKind::SegmentEnd { .. } => 0,
-            EventKind::Deadline { .. } => 1,
-            EventKind::Release { .. } => 2,
-            EventKind::SegmentStart { .. } => 3,
+            EventKind::SegmentEnd { .. } => END,
+            EventKind::Deadline { .. } => DEADLINE,
+            EventKind::Release { .. } => RELEASE,
+            EventKind::SegmentStart { .. } => START,
         }
     }
 }
@@ -65,129 +72,83 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-impl Eq for Event {}
+/// Bit position of the rank inside [`EventKey`]'s tag.
+const RANK_SHIFT: u32 = 62;
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap via reversed comparison happens in the queue; here we
-        // define the natural ascending order: time, then kind rank.
-        self.time
-            .partial_cmp(&other.time)
-            .expect("finite event times")
-            .then(self.kind.rank().cmp(&other.kind.rank()))
-    }
+/// A 16-byte sort key standing for one [`Event`]: its time, and a tag
+/// holding the event's rank above the segment index (for segment
+/// boundaries) or the task id (for releases and deadlines).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EventKey {
+    /// The event's time, with −0.0 normalised to +0.0 so that
+    /// [`f64::total_cmp`] orders it like `==` does.
+    pub(crate) time: f64,
+    tag: u64,
 }
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A min-queue of events.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<std::cmp::Reverse<Event>>,
-}
-
-impl EventQueue {
-    /// Empty queue.
-    pub fn new() -> Self {
-        Self::default()
+impl EventKey {
+    fn new(time: f64, rank: u8, index: usize) -> Self {
+        assert!(time.is_finite(), "event time must be finite");
+        Self {
+            time: time + 0.0,
+            tag: (u64::from(rank) << RANK_SHIFT) | index as u64,
+        }
     }
 
-    /// Insert an event.
-    pub fn push(&mut self, e: Event) {
-        assert!(e.time.is_finite(), "event time must be finite");
-        self.heap.push(std::cmp::Reverse(e));
-    }
-
-    /// Remove and return the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop().map(|r| r.0)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Is the queue empty?
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn events_pop_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(Event {
-            time: 2.0,
-            kind: EventKind::Release { task: 0 },
-        });
-        q.push(Event {
-            time: 1.0,
-            kind: EventKind::Release { task: 1 },
-        });
-        q.push(Event {
-            time: 3.0,
-            kind: EventKind::Release { task: 2 },
-        });
-        let order: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
-        assert_eq!(order, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn ties_process_ends_before_starts() {
-        let mut q = EventQueue::new();
-        q.push(Event {
-            time: 5.0,
-            kind: EventKind::SegmentStart {
-                core: 0,
-                task: 1,
-                segment: 1,
-                freq: 1.0,
+    /// The full event, read back from the schedule or task set it indexes.
+    pub(crate) fn decode(self, schedule: &Schedule, tasks: &TaskSet) -> Event {
+        let index = (self.tag & ((1 << RANK_SHIFT) - 1)) as usize;
+        match (self.tag >> RANK_SHIFT) as u8 {
+            END => {
+                let seg = &schedule.segments()[index];
+                Event {
+                    time: seg.interval.end,
+                    kind: EventKind::SegmentEnd {
+                        core: seg.core,
+                        task: seg.task,
+                        segment: index,
+                    },
+                }
+            }
+            DEADLINE => Event {
+                time: tasks.get(index).deadline,
+                kind: EventKind::Deadline { task: index },
             },
-        });
-        q.push(Event {
-            time: 5.0,
-            kind: EventKind::SegmentEnd {
-                core: 0,
-                task: 0,
-                segment: 0,
+            RELEASE => Event {
+                time: tasks.get(index).release,
+                kind: EventKind::Release { task: index },
             },
-        });
-        let first = q.pop().unwrap();
-        assert!(matches!(first.kind, EventKind::SegmentEnd { .. }));
-        let second = q.pop().unwrap();
-        assert!(matches!(second.kind, EventKind::SegmentStart { .. }));
+            _ => {
+                let seg = &schedule.segments()[index];
+                Event {
+                    time: seg.interval.start,
+                    kind: EventKind::SegmentStart {
+                        core: seg.core,
+                        task: seg.task,
+                        segment: index,
+                        freq: seg.freq,
+                    },
+                }
+            }
+        }
     }
+}
 
-    #[test]
-    fn deadline_checked_before_new_releases_and_starts() {
-        let mut q = EventQueue::new();
-        q.push(Event {
-            time: 5.0,
-            kind: EventKind::Release { task: 2 },
-        });
-        q.push(Event {
-            time: 5.0,
-            kind: EventKind::Deadline { task: 1 },
-        });
-        assert!(matches!(q.pop().unwrap().kind, EventKind::Deadline { .. }));
+/// Every event of a run, sorted by time, then rank, then segment index or
+/// task id.
+///
+/// # Panics
+/// If any segment boundary, release or deadline is not finite.
+pub(crate) fn sorted_events(schedule: &Schedule, tasks: &TaskSet) -> Vec<EventKey> {
+    let mut keys = Vec::with_capacity(2 * (schedule.len() + tasks.len()));
+    for (idx, seg) in schedule.segments().iter().enumerate() {
+        keys.push(EventKey::new(seg.interval.start, START, idx));
+        keys.push(EventKey::new(seg.interval.end, END, idx));
     }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn rejects_nan_times() {
-        let mut q = EventQueue::new();
-        q.push(Event {
-            time: f64::NAN,
-            kind: EventKind::Release { task: 0 },
-        });
+    for (id, t) in tasks.iter() {
+        keys.push(EventKey::new(t.release, RELEASE, id));
+        keys.push(EventKey::new(t.deadline, DEADLINE, id));
     }
+    keys.sort_unstable_by(|a, b| a.time.total_cmp(&b.time).then(a.tag.cmp(&b.tag)));
+    keys
 }

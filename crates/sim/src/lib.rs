@@ -10,7 +10,7 @@
 //! agreement between the two (asserted across the test suite) is a real
 //! end-to-end check of both.
 //!
-//! * [`event`] — events and the time-ordered queue,
+//! * [`event`] — events, and the event list the engine sorts once per run,
 //! * [`machine`] — per-core sleep/active state machines,
 //! * [`engine`] — the simulation loop ([`simulate`]),
 //! * [`metrics`] — the [`SimReport`],
@@ -30,7 +30,7 @@ pub mod svg;
 pub mod trace;
 
 pub use engine::{log_to_csv, simulate, simulate_traced, LoggedEvent};
-pub use event::{Event, EventKind, EventQueue};
+pub use event::{Event, EventKind};
 pub use machine::{Core, CoreState};
 pub use metrics::{Conflict, SimReport};
 pub use online::{dispatch, dispatch_edf, DispatchPolicy, OnlineOutcome};

@@ -35,7 +35,7 @@ pub struct SimReport {
     /// Per-core state-transition tallies (both sleep → active and
     /// active → sleep).
     pub core_transitions: Vec<usize>,
-    /// High-water mark of the event-queue depth during the run.
+    /// Events in the run: all are queued up front, so this is the queue's high-water mark.
     pub queue_peak: usize,
     /// Times a task resumed after having already run (its execution was
     /// split across segments).

@@ -100,6 +100,62 @@ fn overlapping_injection_is_detected() {
     }
 }
 
+/// A clean multi-core schedule on a slot grid shared by all cores, so
+/// boundaries on different cores tie exactly; tasks resume and migrate
+/// from slot to slot. Each task's window is the span of its segments.
+fn grid_schedule(rng: &mut ChaCha8) -> (Schedule, TaskSet) {
+    let cores = rng.gen_range_usize(2, 5);
+    let mut s = Schedule::new(cores);
+    // Per task: (release, deadline, work).
+    let mut windows: Vec<(f64, f64, f64)> = Vec::new();
+    let mut t = 0.0;
+    for _ in 0..rng.gen_range_usize(2, 12) {
+        let end = t + rng.gen_range_f64(0.1, 3.0);
+        for core in 0..cores {
+            if core > 0 && !rng.gen_bool(0.75) {
+                continue;
+            }
+            // Resume a task not already running in this slot (one whose
+            // window does not end with it), or start a new one.
+            let resume = (!windows.is_empty() && rng.gen_bool(0.5))
+                .then(|| rng.gen_range_usize(0, windows.len()))
+                .filter(|&task| windows[task].1 != end);
+            let task = resume.unwrap_or_else(|| {
+                windows.push((t, end, 0.0));
+                windows.len() - 1
+            });
+            let freq = rng.gen_range_f64(0.2, 1.5);
+            s.push(Segment::new(task, core, t, end, freq));
+            windows[task].1 = end;
+            windows[task].2 += (end - t) * freq;
+        }
+        t = end;
+    }
+    let tasks = windows.iter().map(|&(r, d, c)| Task::of(r, d, c)).collect();
+    (s, TaskSet::new(tasks).unwrap())
+}
+
+#[test]
+fn shuffling_the_segment_list_leaves_the_report_bitwise_identical() {
+    let mut rng = ChaCha8::seed_from_u64(0x51b0_0006);
+    let p = PolynomialPower::paper(3.0, 0.1);
+    for _ in 0..CASES {
+        let (s, ts) = grid_schedule(&mut rng);
+        let r = simulate(&s, &ts, &p);
+        assert!(r.is_clean(), "{r:?}");
+        let mut segs = s.segments().to_vec();
+        for i in (1..segs.len()).rev() {
+            segs.swap(i, rng.gen_range_usize(0, i + 1));
+        }
+        let mut shuffled = Schedule::new(s.cores);
+        for seg in segs {
+            shuffled.push(seg);
+        }
+        let r2 = simulate(&shuffled, &ts, &p);
+        assert_eq!(format!("{r:?}"), format!("{r2:?}"));
+    }
+}
+
 #[test]
 fn online_dispatch_work_is_conserved_up_to_misses() {
     let mut rng = ChaCha8::seed_from_u64(0x51b0_0004);

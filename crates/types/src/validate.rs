@@ -13,9 +13,9 @@
 //! the first, which makes property-test failures and simulator diagnostics
 //! actionable.
 
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, Segment};
 use crate::task::{TaskId, TaskSet};
-use crate::time::EPS;
+use crate::time::{compensated_sum, EPS};
 use std::fmt;
 
 /// A single legality violation.
@@ -145,12 +145,16 @@ pub const WORK_TOL: f64 = 1e-6;
 ///
 /// `schedule.cores` is taken as `m`. Window and work checks are tolerant
 /// ([`EPS`] for geometry, [`WORK_TOL`] relative for work).
+///
+/// Runs in O(S log S) for S segments: the segments are bucketed per core
+/// and per task once, instead of filtered once per core and per task.
 pub fn validate_schedule(schedule: &Schedule, tasks: &TaskSet) -> ValidationReport {
     let mut violations = Vec::new();
     let n = tasks.len();
+    let segments = schedule.segments();
 
     // 5 + bad task ids.
-    for seg in schedule.segments() {
+    for seg in segments {
         if seg.core >= schedule.cores {
             violations.push(Violation::BadCore {
                 task: seg.task,
@@ -169,36 +173,43 @@ pub fn validate_schedule(schedule: &Schedule, tasks: &TaskSet) -> ValidationRepo
         return ValidationReport { violations };
     }
 
-    // 1. Per-core overlap: sort by start, adjacent pairs suffice after
-    // sorting (any overlap implies an adjacent overlap).
-    for core in 0..schedule.cores {
-        let segs = schedule.core_segments(core);
-        for w in segs.windows(2) {
-            let ov = w[0].interval.overlap_len(&w[1].interval);
-            if ov > EPS {
-                violations.push(Violation::CoreOverlap {
-                    core,
-                    task_a: w[0].task,
-                    task_b: w[1].task,
-                    overlap: ov,
-                });
-            }
+    // Segment indices per core and per task, in insertion order.
+    let mut by_core: Vec<Vec<usize>> = vec![Vec::new(); schedule.cores];
+    let mut by_task: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (i, seg) in segments.iter().enumerate() {
+        if let Some(bucket) = by_core.get_mut(seg.core) {
+            bucket.push(i);
+        }
+        by_task[seg.task].push(i);
+    }
+    // Summed in insertion order, as `Schedule::work_of` does, so the sums
+    // round identically.
+    let delivered: Vec<f64> = by_task
+        .iter()
+        .map(|bucket| compensated_sum(bucket.iter().map(|&i| segments[i].work())))
+        .collect();
+
+    // 1. Per-core overlap.
+    for (core, bucket) in by_core.iter_mut().enumerate() {
+        for (a, b, overlap) in neighbour_overlaps(segments, bucket) {
+            violations.push(Violation::CoreOverlap {
+                core,
+                task_a: a.task,
+                task_b: b.task,
+                overlap,
+            });
         }
     }
 
     // 2. Per-task self-overlap.
-    for task in schedule.task_ids() {
-        let segs = schedule.task_segments(task);
-        for w in segs.windows(2) {
-            let ov = w[0].interval.overlap_len(&w[1].interval);
-            if ov > EPS {
-                violations.push(Violation::SelfOverlap { task, overlap: ov });
-            }
+    for (task, bucket) in by_task.iter_mut().enumerate() {
+        for (_, _, overlap) in neighbour_overlaps(segments, bucket) {
+            violations.push(Violation::SelfOverlap { task, overlap });
         }
     }
 
     // 3. Window containment.
-    for seg in schedule.segments() {
+    for seg in segments {
         let t = tasks.get(seg.task);
         if !t.window().covers(&seg.interval) {
             violations.push(Violation::OutsideWindow {
@@ -210,8 +221,7 @@ pub fn validate_schedule(schedule: &Schedule, tasks: &TaskSet) -> ValidationRepo
     }
 
     // 4. Work completion.
-    for (id, t) in tasks.iter() {
-        let delivered = schedule.work_of(id);
+    for ((id, t), &delivered) in tasks.iter().zip(&delivered) {
         if delivered < t.wcec * (1.0 - WORK_TOL) - WORK_TOL {
             violations.push(Violation::Underserved {
                 task: id,
@@ -224,10 +234,32 @@ pub fn validate_schedule(schedule: &Schedule, tasks: &TaskSet) -> ValidationRepo
     ValidationReport { violations }
 }
 
+/// Overlaps longer than [`EPS`] between start-time neighbours of `bucket`
+/// (indices into `segments`). The bucket is first sorted by start time,
+/// stably, as `Schedule::core_segments` sorts; any overlap then shows
+/// between neighbours.
+fn neighbour_overlaps<'a>(
+    segments: &'a [Segment],
+    bucket: &'a mut [usize],
+) -> impl Iterator<Item = (&'a Segment, &'a Segment, f64)> + 'a {
+    bucket.sort_by(|&a, &b| {
+        segments[a]
+            .interval
+            .start
+            .partial_cmp(&segments[b].interval.start)
+            .expect("finite segment times")
+    });
+    let bucket: &'a [usize] = bucket;
+    bucket.windows(2).filter_map(move |w| {
+        let (a, b) = (&segments[w[0]], &segments[w[1]]);
+        let overlap = a.interval.overlap_len(&b.interval);
+        (overlap > EPS).then_some((a, b, overlap))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::Segment;
     use crate::task::TaskSet;
 
     fn tasks() -> TaskSet {

@@ -6,8 +6,10 @@
 
 use esched_obs::rng::ChaCha8;
 use esched_types::time::{approx_eq, compensated_sum, Interval};
+use esched_types::validate::WORK_TOL;
 use esched_types::{
-    validate_schedule, PolynomialPower, PowerModel, Schedule, Segment, Task, TaskSet,
+    validate_schedule, PolynomialPower, PowerModel, Schedule, Segment, Task, TaskSet, Violation,
+    EPS,
 };
 
 const CASES: usize = 64;
@@ -221,5 +223,107 @@ fn validator_accepts_disjoint_single_core_schedules() {
         let ts = TaskSet::new(tasks).unwrap();
         let report = validate_schedule(&s, &ts);
         assert!(report.is_legal(), "{:?}", report.violations);
+    }
+}
+
+/// The validator as first written: one filter over the whole segment list
+/// per core and per task. O(n·S), but obviously the five conditions.
+fn filtering_validator(schedule: &Schedule, tasks: &TaskSet) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    for seg in schedule.segments() {
+        if seg.core >= schedule.cores {
+            violations.push(Violation::BadCore {
+                task: seg.task,
+                core: seg.core,
+            });
+        }
+        if seg.task >= tasks.len() {
+            violations.push(Violation::BadTask { task: seg.task });
+        }
+    }
+    if violations
+        .iter()
+        .any(|v| matches!(v, Violation::BadTask { .. }))
+    {
+        return violations;
+    }
+    for core in 0..schedule.cores {
+        for w in schedule.core_segments(core).windows(2) {
+            let overlap = w[0].interval.overlap_len(&w[1].interval);
+            if overlap > EPS {
+                violations.push(Violation::CoreOverlap {
+                    core,
+                    task_a: w[0].task,
+                    task_b: w[1].task,
+                    overlap,
+                });
+            }
+        }
+    }
+    for task in schedule.task_ids() {
+        for w in schedule.task_segments(task).windows(2) {
+            let overlap = w[0].interval.overlap_len(&w[1].interval);
+            if overlap > EPS {
+                violations.push(Violation::SelfOverlap { task, overlap });
+            }
+        }
+    }
+    for seg in schedule.segments() {
+        if !tasks.get(seg.task).window().covers(&seg.interval) {
+            violations.push(Violation::OutsideWindow {
+                task: seg.task,
+                start: seg.interval.start,
+                end: seg.interval.end,
+            });
+        }
+    }
+    for (id, t) in tasks.iter() {
+        let delivered = schedule.work_of(id);
+        if delivered < t.wcec * (1.0 - WORK_TOL) - WORK_TOL {
+            violations.push(Violation::Underserved {
+                task: id,
+                delivered,
+                required: t.wcec,
+            });
+        }
+    }
+    violations
+}
+
+#[test]
+fn validator_reports_what_a_filter_per_core_and_task_reports() {
+    let mut rng = ChaCha8::seed_from_u64(0x7970_000b);
+    for _ in 0..CASES {
+        let ts = TaskSet::new(
+            arb_tasks(&mut rng, 8)
+                .iter()
+                .map(|&(r, len, c)| Task::of(r, r + len, c))
+                .collect(),
+        )
+        .unwrap();
+        let cores = rng.gen_range_usize(1, 4);
+        let mut s = Schedule::new(cores);
+        // Segments on a coarse grid, so starts tie and segments overlap;
+        // now and then on a core that does not exist or for a task that
+        // does not exist.
+        for _ in 0..rng.gen_range_usize(0, 24) {
+            let start = rng.gen_range_usize(0, 20) as f64 * 5.0;
+            let len = rng.gen_range_usize(1, 4) as f64 * 5.0;
+            let spare_core = usize::from(rng.gen_bool(0.05));
+            let core = rng.gen_range_usize(0, cores + spare_core);
+            let spare_task = usize::from(rng.gen_bool(0.02));
+            let task = rng.gen_range_usize(0, ts.len() + spare_task);
+            s.push(Segment::new(
+                task,
+                core,
+                start,
+                start + len,
+                rng.gen_range_f64(0.1, 2.0),
+            ));
+        }
+        assert_eq!(
+            validate_schedule(&s, &ts).violations,
+            filtering_validator(&s, &ts)
+        );
     }
 }
