@@ -84,6 +84,11 @@ impl std::error::Error for PackError {}
 /// `Δ` after the validity check, so callers may pass values that exceed
 /// `Δ` by floating-point noise.
 ///
+/// The appended segments are in canonical order (start, core, task; see
+/// [`Schedule::coalesce`]), and all of them start in `[t0, t1)`. Packing
+/// disjoint subintervals in time order therefore builds a canonical
+/// schedule, which `coalesce` merges without sorting.
+///
 /// # Errors
 /// [`PackError`] when an item exceeds the subinterval length or the items
 /// exceed total capacity (both with tolerance).
@@ -117,6 +122,7 @@ pub fn pack_subinterval(
     }
     esched_obs::metric_counter!("esched.core.pack_calls").inc();
     esched_obs::metric_counter!("esched.core.pack_items").add(items.len() as u64);
+    let first = out.len();
 
     // Wrap-around fill. `cursor` is the next free instant on core `k`.
     //
@@ -179,6 +185,9 @@ pub fn pack_subinterval(
             }
         }
     }
+    // The fill runs core by core; put this subinterval's segments in
+    // canonical order.
+    out.sort_canonical_from(first);
     Ok(())
 }
 
@@ -222,6 +231,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn appended_segments_are_in_canonical_order() {
+        // Five wrap-around items, three of them split across cores, packed
+        // after an earlier subinterval.
+        let mut s = Schedule::new(4);
+        pack_subinterval(&items(&[2.0, 1.5]), 6.0, 8.0, 4, &mut s).unwrap();
+        pack_subinterval(&items(&[1.6; 5]), 8.0, 10.0, 4, &mut s).unwrap();
+        assert!(s.is_canonical());
+        let starts: Vec<(f64, usize)> = s
+            .segments()
+            .iter()
+            .map(|x| (x.interval.start, x.core))
+            .collect();
+        assert_eq!(starts[..2], [(6.0, 0), (6.0, 1)]);
+        assert_eq!(starts[2..6], [(8.0, 0), (8.0, 1), (8.0, 2), (8.0, 3)]);
     }
 
     #[test]

@@ -51,8 +51,12 @@ pub struct ScheduleQuality {
 /// Analyze `schedule` for `tasks` under `power`.
 pub fn analyze(schedule: &Schedule, tasks: &TaskSet, power: &PolynomialPower) -> ScheduleQuality {
     let mut rows = Vec::with_capacity(tasks.len());
+    // Each task's segments in start order, as `Schedule::task_segments`
+    // returns them, from one sort of the whole list.
+    let by_task = schedule.segments_by_task();
+    let mut runs = by_task.chunk_by(|a, b| a.task == b.task).peekable();
     for (id, t) in tasks.iter() {
-        let segs = schedule.task_segments(id);
+        let segs = runs.next_if(|run| run[0].task == id).unwrap_or_default();
         let exec_time: f64 = compensated_sum(segs.iter().map(|s| s.duration()));
         let work: f64 = compensated_sum(segs.iter().map(|s| s.work()));
         let mean_freq = if exec_time > 0.0 {
@@ -62,7 +66,7 @@ pub fn analyze(schedule: &Schedule, tasks: &TaskSet, power: &PolynomialPower) ->
         };
         let mut dynamic = 0.0;
         let mut stat = 0.0;
-        for s in &segs {
+        for s in segs {
             let (d, st) = power.energy_breakdown(s.work(), s.freq);
             dynamic += d;
             stat += st;
@@ -210,5 +214,82 @@ mod tests {
         let frac_lo = lo.static_energy / lo.energy;
         let frac_hi = hi.static_energy / hi.energy;
         assert!(frac_hi > frac_lo, "{frac_lo} vs {frac_hi}");
+    }
+
+    /// `analyze` as first written: one `task_segments` filter per task.
+    /// (`randomized_types.rs` pins migrations and preemptions.)
+    fn filtering_analyze(
+        schedule: &Schedule,
+        tasks: &TaskSet,
+        power: &PolynomialPower,
+    ) -> ScheduleQuality {
+        let mut rows = Vec::new();
+        for (id, t) in tasks.iter() {
+            let segs = schedule.task_segments(id);
+            let exec_time = compensated_sum(segs.iter().map(|s| s.duration()));
+            let work = compensated_sum(segs.iter().map(|s| s.work()));
+            let (mut dynamic, mut stat) = (0.0, 0.0);
+            for s in &segs {
+                let (d, st) = power.energy_breakdown(s.work(), s.freq);
+                dynamic += d;
+                stat += st;
+            }
+            rows.push(TaskQuality {
+                task: id,
+                segments: segs.len(),
+                exec_time,
+                window_usage: exec_time / t.window_len(),
+                mean_freq: if exec_time > 0.0 {
+                    work / exec_time
+                } else {
+                    0.0
+                },
+                dynamic_energy: dynamic,
+                static_energy: stat,
+            });
+        }
+        let dynamic_energy: f64 = rows.iter().map(|r| r.dynamic_energy).sum();
+        let static_energy: f64 = rows.iter().map(|r| r.static_energy).sum();
+        ScheduleQuality {
+            energy: dynamic_energy + static_energy,
+            dynamic_energy,
+            static_energy,
+            migrations: schedule.migrations(),
+            preemptions: schedule.preemptions(),
+            utilization: schedule.utilization(tasks.horizon().length()),
+            tasks: rows,
+        }
+    }
+
+    #[test]
+    fn matches_a_filter_per_task_on_random_schedules() {
+        use esched_obs::rng::ChaCha8;
+        use esched_types::Segment;
+        let mut rng = ChaCha8::seed_from_u64(0x9a11_0001);
+        let p = PolynomialPower::paper(3.0, 0.1);
+        for case in 0..64 {
+            let ts = esched_workload::WorkloadSpec::paper()
+                .with_scale(rng.gen_range_usize(2, 12))
+                .instantiate(case);
+            let out = der_schedule(&ts, 3, &p);
+            assert_eq!(
+                analyze(&out.schedule, &ts, &p),
+                filtering_analyze(&out.schedule, &ts, &p)
+            );
+            // In random order, with starts on a coarse grid that tie, and with
+            // segments of tasks the set does not have.
+            let mut s = Schedule::new(3);
+            for _ in 0..rng.gen_range_usize(0, 32) {
+                let start = rng.gen_range_usize(0, 20) as f64;
+                s.push(Segment::new(
+                    rng.gen_range_usize(0, ts.len() + 2),
+                    rng.gen_range_usize(0, 3),
+                    start,
+                    start + rng.gen_range_usize(1, 4) as f64,
+                    rng.gen_range_f64(0.2, 2.0),
+                ));
+            }
+            assert_eq!(analyze(&s, &ts, &p), filtering_analyze(&s, &ts, &p));
+        }
     }
 }

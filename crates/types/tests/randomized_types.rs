@@ -1,9 +1,11 @@
 //! Seeded randomized tests for the foundation types: interval algebra,
-//! task-set demand, schedule accounting, and validator soundness.
+//! task-set demand, schedule accounting, coalescing, and validator
+//! soundness.
 //!
 //! Each test draws `CASES` random inputs from a fixed-seed ChaCha8
 //! stream, so failures are reproducible bit-for-bit.
 
+use esched_core::{pack_subinterval, PackItem};
 use esched_obs::rng::ChaCha8;
 use esched_types::time::{approx_eq, compensated_sum, Interval};
 use esched_types::validate::WORK_TOL;
@@ -325,5 +327,294 @@ fn validator_reports_what_a_filter_per_core_and_task_reports() {
             validate_schedule(&s, &ts).violations,
             filtering_validator(&s, &ts)
         );
+    }
+}
+
+/// `Schedule::coalesce` before the single-sort rewrite, kept verbatim as
+/// the reference: a stable sort by (core, task, start), a merge of
+/// consecutive pieces of one task on one core, and a second stable sort
+/// by (start, core).
+fn reference_coalesce(schedule: &Schedule) -> Vec<Segment> {
+    let mut merged: Vec<Segment> = Vec::with_capacity(schedule.len());
+    let mut segs = schedule.segments().to_vec();
+    segs.sort_by(|a, b| {
+        (a.core, a.task).cmp(&(b.core, b.task)).then(
+            a.interval
+                .start
+                .partial_cmp(&b.interval.start)
+                .expect("finite"),
+        )
+    });
+    for seg in segs {
+        if let Some(last) = merged.last_mut() {
+            let freq_close =
+                (last.freq - seg.freq).abs() <= EPS * last.freq.abs().max(seg.freq.abs());
+            let adjacent = (seg.interval.start - last.interval.end).abs()
+                <= 1e-12 * (1.0 + last.interval.end.abs().max(seg.interval.start.abs()));
+            if last.core == seg.core && last.task == seg.task && freq_close && adjacent {
+                last.interval.end = seg.interval.end.max(last.interval.end);
+                continue;
+            }
+        }
+        merged.push(seg);
+    }
+    merged.sort_by(|a, b| {
+        a.interval
+            .start
+            .partial_cmp(&b.interval.start)
+            .expect("finite")
+            .then(a.core.cmp(&b.core))
+    });
+    merged
+}
+
+/// Segments as bit patterns, so `-0.0` and `+0.0` compare unequal.
+fn bits(segs: &[Segment]) -> Vec<(usize, usize, u64, u64, u64)> {
+    segs.iter()
+        .map(|s| {
+            (
+                s.task,
+                s.core,
+                s.interval.start.to_bits(),
+                s.interval.end.to_bits(),
+                s.freq.to_bits(),
+            )
+        })
+        .collect()
+}
+
+fn schedule_of(cores: usize, segs: &[Segment]) -> Schedule {
+    let mut s = Schedule::new(cores);
+    for &seg in segs {
+        s.push_exact(seg);
+    }
+    s
+}
+
+fn shuffled(rng: &mut ChaCha8, schedule: &Schedule) -> Schedule {
+    let mut segs = schedule.segments().to_vec();
+    for i in (1..segs.len()).rev() {
+        segs.swap(i, rng.gen_range_usize(0, i + 1));
+    }
+    schedule_of(schedule.cores, &segs)
+}
+
+/// Coalesce `schedule` and check the result bit for bit against the
+/// reference; the result is canonical and coalescing it again changes
+/// nothing. Returns the number of segments merged away.
+fn assert_coalesces_as_reference(schedule: &Schedule) -> usize {
+    let want = reference_coalesce(schedule);
+    let mut got = schedule.clone();
+    got.coalesce();
+    assert_eq!(bits(got.segments()), bits(&want));
+    assert!(got.is_canonical());
+    let mut again = got.clone();
+    again.coalesce();
+    assert_eq!(bits(again.segments()), bits(got.segments()));
+    schedule.len() - got.len()
+}
+
+/// A schedule packed by Algorithm 1 over a chain of adjacent subintervals,
+/// as the refinement builds one: tasks keep one frequency across
+/// subintervals (now and then another, which blocks a merge), and often
+/// fill a whole subinterval, so pieces chain across boundaries. With
+/// `through_zero` the boundaries are integer multiples of one width and
+/// one of them is exactly `0.0`.
+fn packed_chain(rng: &mut ChaCha8, through_zero: bool) -> Schedule {
+    let cores = rng.gen_range_usize(1, 5);
+    let tasks = rng.gen_range_usize(1, 10);
+    let freqs: Vec<f64> = (0..tasks).map(|_| rng.gen_range_f64(0.2, 2.0)).collect();
+    let subs = rng.gen_range_usize(1, 12);
+    let width = rng.gen_range_f64(0.1, 4.0);
+    let zero_at = rng.gen_range_usize(0, subs) as f64;
+    let mut bounds = vec![if through_zero {
+        -zero_at * width
+    } else {
+        rng.gen_range_f64(0.0, 100.0)
+    }];
+    for j in 1..=subs {
+        let next = if through_zero {
+            (j as f64 - zero_at) * width
+        } else if rng.gen_bool(0.1) {
+            bounds[j - 1] + 1e-7
+        } else {
+            bounds[j - 1] + rng.gen_range_f64(0.1, 4.0)
+        };
+        bounds.push(next);
+    }
+    let mut s = Schedule::new(cores);
+    let mut items: Vec<PackItem> = Vec::new();
+    for w in bounds.windows(2) {
+        let delta = w[1] - w[0];
+        items.clear();
+        for (task, &task_freq) in freqs.iter().enumerate() {
+            if !rng.gen_bool(0.6) {
+                continue;
+            }
+            let duration = if rng.gen_bool(0.3) {
+                delta
+            } else {
+                delta * rng.gen_range_f64(0.05, 1.0)
+            };
+            let freq = if rng.gen_bool(0.1) {
+                rng.gen_range_f64(0.2, 2.0)
+            } else {
+                task_freq
+            };
+            items.push(PackItem {
+                task,
+                duration,
+                freq,
+            });
+        }
+        for i in (1..items.len()).rev() {
+            items.swap(i, rng.gen_range_usize(0, i + 1));
+        }
+        let total: f64 = items.iter().map(|it| it.duration).sum();
+        let capacity = cores as f64 * delta;
+        if total > capacity {
+            for it in &mut items {
+                it.duration *= capacity / total;
+            }
+        }
+        pack_subinterval(&items, w[0], w[1], cores, &mut s).unwrap();
+    }
+    s
+}
+
+#[test]
+fn coalesce_matches_the_two_sort_reference_on_packed_chains() {
+    let mut rng = ChaCha8::seed_from_u64(0x7970_000c);
+    let mut merged = 0;
+    for _ in 0..4 * CASES {
+        let s = packed_chain(&mut rng, false);
+        // Packing disjoint subintervals in time order builds a canonical
+        // schedule, so `coalesce` merges it without a sort.
+        assert!(s.is_canonical());
+        merged += assert_coalesces_as_reference(&s);
+        assert_coalesces_as_reference(&shuffled(&mut rng, &s));
+    }
+    assert!(merged > 0, "no case merged a segment");
+}
+
+#[test]
+fn coalesce_matches_the_reference_across_signed_zero_starts() {
+    let mut rng = ChaCha8::seed_from_u64(0x7970_000d);
+    let mut flipped = 0;
+    for _ in 0..4 * CASES {
+        let s = packed_chain(&mut rng, true);
+        // Turn some starts at +0.0 into -0.0, and now and then add a copy
+        // with the other sign, so starts tie across the two zeros.
+        let mut segs = Vec::new();
+        for &seg in s.segments() {
+            let mut seg = seg;
+            if seg.interval.start == 0.0 && rng.gen_bool(0.5) {
+                seg.interval.start = -0.0;
+                flipped += 1;
+            }
+            segs.push(seg);
+            if seg.interval.start == 0.0 && rng.gen_bool(0.2) {
+                let mut twin = seg;
+                twin.interval.start = -seg.interval.start;
+                segs.push(twin);
+            }
+        }
+        let s = schedule_of(s.cores, &segs);
+        assert!(s.is_canonical());
+        assert_coalesces_as_reference(&s);
+        assert_coalesces_as_reference(&shuffled(&mut rng, &s));
+    }
+    assert!(flipped > 0, "no case started a segment at -0.0");
+}
+
+#[test]
+fn coalesce_merges_on_cores_beyond_the_core_count_as_on_real_cores() {
+    let mut rng = ChaCha8::seed_from_u64(0x7970_000e);
+    for _ in 0..4 * CASES {
+        let s = packed_chain(&mut rng, false);
+        // Declare fewer cores than the packing used, and move some of the
+        // surplus cores far out of range.
+        let cores = rng.gen_range_usize(1, s.cores + 1);
+        let far = [1 << 40, usize::MAX - 8];
+        let segs: Vec<Segment> = s
+            .segments()
+            .iter()
+            .map(|&seg| {
+                let mut seg = seg;
+                if seg.core >= cores && rng.gen_bool(0.5) {
+                    seg.core += far[rng.gen_range_usize(0, 2)];
+                }
+                seg
+            })
+            .collect();
+        let s = schedule_of(cores, &segs);
+        assert_coalesces_as_reference(&s);
+        assert_coalesces_as_reference(&shuffled(&mut rng, &s));
+    }
+}
+
+/// The one intended difference from the reference: a sub-tolerance sliver
+/// of another task between two adjacent pieces of one task on one core.
+/// The reference merges the two pieces across the sliver and books the
+/// core twice for it; `coalesce` keeps all three segments.
+#[test]
+fn coalesce_does_not_merge_across_a_sliver_of_another_task() {
+    let sliver_end = 1.0 + 1e-12;
+    let mut s = Schedule::new(1);
+    s.push_exact(Segment::new(0, 0, 0.0, 1.0, 1.0));
+    s.push_exact(Segment::new(1, 0, 1.0, sliver_end, 1.0));
+    s.push_exact(Segment::new(0, 0, sliver_end, 2.0, 1.0));
+    let tasks = TaskSet::new(vec![Task::of(0.0, 2.0, 2.0), Task::of(0.0, 2.0, 1e-12)]).unwrap();
+
+    let reference = reference_coalesce(&s);
+    assert_eq!(reference.len(), 2);
+    assert!(reference[0].interval.overlap_len(&reference[1].interval) > 0.0);
+
+    let mut got = s.clone();
+    got.coalesce();
+    assert_eq!(bits(got.segments()), bits(s.segments()));
+    validate_schedule(&got, &tasks).assert_legal();
+}
+
+#[test]
+fn migrations_and_preemptions_match_a_filter_per_task() {
+    let mut rng = ChaCha8::seed_from_u64(0x7970_000f);
+    for case in 0..4 * CASES {
+        let s = if case % 2 == 0 {
+            packed_chain(&mut rng, false)
+        } else {
+            // A coarse grid, so starts tie and segments abut and overlap.
+            let cores = rng.gen_range_usize(1, 4);
+            let mut s = Schedule::new(cores);
+            for _ in 0..rng.gen_range_usize(0, 24) {
+                let start = rng.gen_range_usize(0, 20) as f64;
+                let len = rng.gen_range_usize(1, 4) as f64;
+                s.push(Segment::new(
+                    rng.gen_range_usize(0, 5),
+                    rng.gen_range_usize(0, cores),
+                    start,
+                    start + len,
+                    1.0,
+                ));
+            }
+            shuffled(&mut rng, &s)
+        };
+        let (mut migrations, mut preemptions) = (0, 0);
+        for task in s.task_ids() {
+            let segs = s.task_segments(task);
+            migrations += segs.windows(2).filter(|w| w[0].core != w[1].core).count();
+            preemptions += segs
+                .windows(2)
+                .filter(|w| !approx_eq(w[0].interval.end, w[1].interval.start))
+                .count();
+        }
+        assert_eq!(s.migrations(), migrations);
+        assert_eq!(s.preemptions(), preemptions);
+        let concatenated: Vec<Segment> = s
+            .task_ids()
+            .into_iter()
+            .flat_map(|task| s.task_segments(task))
+            .collect();
+        assert_eq!(bits(&s.segments_by_task()), bits(&concatenated));
     }
 }

@@ -9,7 +9,19 @@ use esched::obs::json::{parse, Value};
 use esched::obs::trace;
 use esched::sim::chrome_schedule_trace;
 use esched::types::{PolynomialPower, TaskSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Held by every test in this file. The capture test installs a
+/// process-global sink; run alongside it, the other test's pipeline spans
+/// would land in the capture, possibly as a span entered before the sink
+/// was installed and exited after, which unbalances the trace.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn two_task_two_core_schedule() -> esched::types::Schedule {
     // Two overlapping tasks on two cores — small enough to eyeball, big
@@ -30,6 +42,7 @@ fn ph(e: &Value) -> &str {
 
 #[test]
 fn captured_spans_round_trip_as_valid_balanced_chrome_json() {
+    let _serial = serial();
     let sink = ChromeTraceSink::new();
     trace::init_with(trace::Filter::parse("debug"), Arc::new(sink.clone()));
     let schedule = two_task_two_core_schedule();
@@ -86,6 +99,7 @@ fn captured_spans_round_trip_as_valid_balanced_chrome_json() {
 
 #[test]
 fn schedule_converter_renders_cores_as_threads_with_freq_counters() {
+    let _serial = serial();
     let schedule = two_task_two_core_schedule();
     let doc = parse(&chrome_schedule_trace(&schedule).to_string_pretty()).expect("valid JSON");
     let evs = events(&doc);
