@@ -1,15 +1,18 @@
 //! The validator, the simulator and schedule coalescing on DER schedules
 //! at the sizes the planning benchmark runs: all must stay near-linear in
 //! the segment count (the validator buckets segments per core and per
-//! task; the simulator sorts its event list once; packing leaves each
-//! schedule in canonical order, so coalescing skips its sort).
+//! task; the simulator merges its event list from runs a canonical
+//! schedule already has in order, and still orders a shuffled or reversed
+//! segment list exactly; packing leaves each schedule in canonical order,
+//! so coalescing skips its sort).
 //!
 //! The 65k tests are release-mode tests:
 //! `cargo test --release -p esched-engine --test large_n -- --include-ignored`.
 
 use esched_core::der_schedule;
-use esched_sim::simulate;
-use esched_types::{validate_schedule, PolynomialPower};
+use esched_obs::rng::ChaCha8;
+use esched_sim::{simulate, Conflict, SimReport};
+use esched_types::{validate_schedule, PolynomialPower, Schedule, Segment};
 use esched_workload::WorkloadSpec;
 
 #[test]
@@ -55,4 +58,74 @@ fn a_65k_task_der_plan_comes_out_canonical_and_coalesced() {
         "schedule {energy} vs analytic {}",
         outcome.final_energy
     );
+}
+
+fn schedule_of(cores: usize, segments: &[Segment]) -> Schedule {
+    let mut s = Schedule::new(cores);
+    for &seg in segments {
+        s.push_exact(seg);
+    }
+    s
+}
+
+/// `got` equals `want` field by field, every `f64` bit for bit.
+fn assert_same_report(got: &SimReport, want: &SimReport) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let conflicts = |v: &[Conflict]| {
+        v.iter()
+            .map(|c| (c.time.to_bits(), c.core, c.running, c.rejected))
+            .collect::<Vec<_>>()
+    };
+    let SimReport {
+        energy,
+        core_energy,
+        core_busy,
+        work_done,
+        deadline_misses,
+        conflicts: got_conflicts,
+        activations,
+        core_transitions,
+        queue_peak,
+        preemptions,
+        migrations,
+        horizon,
+    } = got;
+    assert_eq!(energy.to_bits(), want.energy.to_bits());
+    assert_eq!(bits(core_energy), bits(&want.core_energy));
+    assert_eq!(bits(core_busy), bits(&want.core_busy));
+    assert_eq!(bits(work_done), bits(&want.work_done));
+    assert_eq!(deadline_misses, &want.deadline_misses);
+    assert_eq!(conflicts(got_conflicts), conflicts(&want.conflicts));
+    assert_eq!(activations, &want.activations);
+    assert_eq!(core_transitions, &want.core_transitions);
+    assert_eq!(*queue_peak, want.queue_peak);
+    assert_eq!(*preemptions, want.preemptions);
+    assert_eq!(*migrations, want.migrations);
+    assert_eq!(
+        bits(&[horizon.0, horizon.1]),
+        bits(&[want.horizon.0, want.horizon.1])
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-mode test")]
+fn a_shuffled_or_reversed_65k_task_schedule_simulates_bit_identically() {
+    let tasks = WorkloadSpec::large_n(65_536).instantiate(1);
+    let power = PolynomialPower::paper(3.0, 0.1);
+    let schedule = der_schedule(&tasks, 8, &power).schedule;
+    let canonical = simulate(&schedule, &tasks, &power);
+    assert!(canonical.is_clean(), "{:?}", canonical.conflicts.first());
+
+    let mut segments = schedule.segments().to_vec();
+    let mut rng = ChaCha8::seed_from_u64(0x65_536);
+    for i in (1..segments.len()).rev() {
+        segments.swap(i, rng.gen_range_usize(0, i + 1));
+    }
+    let shuffled = schedule_of(schedule.cores, &segments);
+    assert_same_report(&simulate(&shuffled, &tasks, &power), &canonical);
+
+    segments.clone_from_slice(schedule.segments());
+    segments.reverse();
+    let reversed = schedule_of(schedule.cores, &segments);
+    assert_same_report(&simulate(&reversed, &tasks, &power), &canonical);
 }

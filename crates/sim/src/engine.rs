@@ -15,11 +15,14 @@
 //! All events are sorted once, before the run, by time, then rank (ends,
 //! deadlines, releases, starts), then segment index (for segment
 //! boundaries) or task id (for releases and deadlines). −0.0 and +0.0 are
-//! the same time. The engine then takes them in *batches* of approximately
-//! equal times and processes each batch by rank, then time; events tied on
-//! both keep the sorted order. So two starts on one idle core at the same
-//! instant resolve in segment-list order: the earlier segment runs and the
-//! later one is the [`Conflict`].
+//! the same time. The sort merges runs that a canonical schedule already
+//! has in order (see [`crate::event`]), but its result does not depend on
+//! them: any segment order gives the same event order. The engine then
+//! takes the events in *batches* of approximately equal times and
+//! processes each batch by rank, then time; events tied on both keep the
+//! sorted order. So two starts on one idle core at the same instant
+//! resolve in segment-list order: the earlier segment runs and the later
+//! one is the [`Conflict`].
 
 use crate::event::{sorted_events, Event, EventKind};
 use crate::machine::Core;
@@ -70,12 +73,22 @@ pub fn log_to_csv(log: &[LoggedEvent]) -> String {
 /// assert!(report.is_clean());
 /// assert!((report.energy - 0.5_f64.powi(3) * 4.0).abs() < 1e-12);
 /// ```
+///
+/// # Panics
+/// If a segment boundary is not finite (a [`Segment`](esched_types::Segment)
+/// whose public interval was edited after construction), or if a segment
+/// runs on a core at or past `schedule.cores`, which `validate_schedule`
+/// reports as a `BadCore` violation instead.
 pub fn simulate<P: PowerModel>(schedule: &Schedule, tasks: &TaskSet, model: &P) -> SimReport {
     run(schedule, tasks, model, None)
 }
 
 /// [`simulate`], additionally returning the time-ordered execution log —
 /// every start/end/release/deadline/conflict/miss as it was processed.
+///
+/// # Panics
+/// As [`simulate`]: on a non-finite segment boundary, or on a segment on a
+/// core at or past `schedule.cores`.
 pub fn simulate_traced<P: PowerModel>(
     schedule: &Schedule,
     tasks: &TaskSet,
@@ -85,6 +98,9 @@ pub fn simulate_traced<P: PowerModel>(
     let report = run(schedule, tasks, model, Some(&mut log));
     (report, log)
 }
+
+/// `last_core` entry of a task that has not started yet.
+const NO_CORE: u32 = u32::MAX;
 
 /// The engine's mutable per-core state, and the work it has credited.
 struct State {
@@ -136,7 +152,7 @@ fn run<P: PowerModel>(
         n_tasks = tasks.len(),
         cores = schedule.cores,
     );
-    let events = sorted_events(schedule, tasks);
+    let events = sorted_events(schedule, tasks.tasks());
     let segments = schedule.segments();
 
     let mut state = State {
@@ -156,8 +172,9 @@ fn run<P: PowerModel>(
     let mut batches = 0u64;
     let mut preemptions = 0usize;
     let mut migrations = 0usize;
-    // Last core each task ran on, for resume/migration detection.
-    let mut last_core: Vec<Option<usize>> = vec![None; tasks.len()];
+    // Last core each task ran on (`NO_CORE` before its first start), for
+    // resume/migration detection.
+    let mut last_core = vec![NO_CORE; tasks.len()];
     let mut emit = |time: f64, kind: &str, task: usize, core: usize| {
         if let Some(l) = log.as_deref_mut() {
             l.push(LoggedEvent {
@@ -188,9 +205,9 @@ fn run<P: PowerModel>(
     let mut cursor = 0;
     while cursor < events.len() {
         batch.clear();
-        let batch_time = events[cursor].time;
+        let batch_time = events[cursor].time();
         while let Some(key) = events.get(cursor) {
-            if !esched_types::time::approx_eq(key.time, batch_time) {
+            if !esched_types::time::approx_eq(key.time(), batch_time) {
                 break;
             }
             batch.push(key.decode(schedule, tasks));
@@ -198,11 +215,15 @@ fn run<P: PowerModel>(
         }
         batches += 1;
         // Rank first: an end one ulp *after* a start at the "same" instant
-        // must still be processed before it.
-        batch.sort_by(|a, b| {
-            let key = |e: &Event| (e.kind.rank(), e.time);
-            key(a).partial_cmp(&key(b)).expect("finite")
-        });
+        // must still be processed before it. The batch is in (time, rank)
+        // order, so when its ranks already ascend this stable sort would
+        // change nothing — the common case, single events included.
+        if !batch.is_sorted_by_key(|e| e.kind.rank()) {
+            batch.sort_by(|a, b| {
+                let key = |e: &Event| (e.kind.rank(), e.time);
+                key(a).partial_cmp(&key(b)).expect("finite")
+            });
+        }
         for idx in 0..batch.len() {
             let ev = batch[idx];
             match ev.kind {
@@ -290,7 +311,9 @@ fn run<P: PowerModel>(
                             state.running[core] = Some(segment);
                             state.transitions[core] += 1;
                             if let Some(last) = last_core.get_mut(task) {
-                                if let Some(prev) = last.replace(core) {
+                                let core = u32::try_from(core).expect("core index fits in u32");
+                                let prev = std::mem::replace(last, core);
+                                if prev != NO_CORE {
                                     preemptions += 1;
                                     migrations += usize::from(prev != core);
                                 }
@@ -627,6 +650,26 @@ mod tests {
             assert!((r.work_done[first] - (2.0 + first as f64)).abs() < 1e-12);
             assert_eq!(r.work_done[second], 0.0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must be finite")]
+    fn non_finite_segment_boundary_panics() {
+        let mut seg = Segment::new(0, 0, 0.0, 4.0, 1.0);
+        seg.interval.end = f64::INFINITY;
+        let mut s = Schedule::new(1);
+        s.push(seg);
+        let ts = TaskSet::from_triples(&[(0.0, 4.0, 4.0)]);
+        simulate(&s, &ts, &PolynomialPower::cubic());
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn segment_on_a_missing_core_panics() {
+        let mut s = Schedule::new(1);
+        s.push(Segment::new(0, 1, 0.0, 4.0, 1.0));
+        let ts = TaskSet::from_triples(&[(0.0, 4.0, 4.0)]);
+        simulate(&s, &ts, &PolynomialPower::cubic());
     }
 
     #[test]
