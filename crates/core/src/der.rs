@@ -52,7 +52,7 @@ pub fn der_schedule_with(
     let timeline = Timeline::build_with(tasks, &mut scratch.timeline);
     let ideal = ideal_schedule(tasks, power);
     let avail = allocate(AllocRequest::new(tasks, &timeline, cores, &ideal).with_scratch(scratch));
-    let out = build_outcome_with(tasks, &timeline, cores, power, &ideal, avail, scratch);
+    let out = build_outcome_with(tasks, &timeline, cores, power, &ideal, avail, scratch, None);
     scratch.timeline.recycle(timeline);
     out
 }

@@ -49,7 +49,7 @@ pub fn even_schedule_with(
     let timeline = Timeline::build_with(tasks, &mut scratch.timeline);
     let ideal = ideal_schedule(tasks, power);
     let avail = allocate_even(tasks, &timeline, cores);
-    let out = build_outcome_with(tasks, &timeline, cores, power, &ideal, avail, scratch);
+    let out = build_outcome_with(tasks, &timeline, cores, power, &ideal, avail, scratch, None);
     scratch.timeline.recycle(timeline);
     out
 }

@@ -79,10 +79,21 @@ impl std::fmt::Display for PackError {
 
 impl std::error::Error for PackError {}
 
+/// The most segments [`pack_subinterval`] appends for `items` items on
+/// `cores` cores: `items + min(items, cores − 1)`.
+pub(crate) fn max_packed_segments(items: usize, cores: usize) -> usize {
+    items + items.min(cores.saturating_sub(1))
+}
+
 /// Pack `items` into `[t0, t1]` on `cores` cores, appending segments to
 /// `out`. Items with ~zero duration are skipped. Durations are clamped to
 /// `Δ` after the validity check, so callers may pass values that exceed
 /// `Δ` by floating-point noise.
+///
+/// At most `items.len() + min(items.len(), cores − 1)` segments are
+/// appended: each item yields one segment, plus a second for each
+/// wrap-around split, and a split moves the fill to the next core, so
+/// there are at most `cores − 1` of them.
 ///
 /// The appended segments are in canonical order (start, core, task; see
 /// [`Schedule::coalesce`]), and all of them start in `[t0, t1)`. Packing
@@ -194,6 +205,7 @@ pub fn pack_subinterval(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esched_obs::rng::ChaCha8;
     use esched_types::time::Interval;
 
     fn items(ds: &[f64]) -> Vec<PackItem> {
@@ -248,6 +260,52 @@ mod tests {
             .collect();
         assert_eq!(starts[..2], [(6.0, 0), (6.0, 1)]);
         assert_eq!(starts[2..6], [(8.0, 0), (8.0, 1), (8.0, 2), (8.0, 3)]);
+    }
+
+    #[test]
+    fn appends_at_most_items_plus_min_items_cores_minus_one_segments() {
+        let mut rng = ChaCha8::seed_from_u64(0x09ac_0b0d);
+        for _ in 0..2_000 {
+            let cores = rng.gen_range_usize(1, 9);
+            let n = rng.gen_range_usize(0, 13);
+            let (t0, t1) = (3.0, 5.0);
+            // Random durations scaled to fill a random share of capacity,
+            // up to all of it (a split on every core), with dust mixed in.
+            let mut ds: Vec<f64> = (0..n)
+                .map(|_| {
+                    if rng.gen_bool(0.1) {
+                        1e-9
+                    } else {
+                        rng.gen_range_f64(0.05, 2.0)
+                    }
+                })
+                .collect();
+            let total: f64 = ds.iter().sum();
+            let fill = if rng.gen_bool(0.3) {
+                1.0
+            } else {
+                rng.gen_range_f64(0.1, 1.0)
+            };
+            let scale = (fill * cores as f64 * (t1 - t0) / total.max(1e-12)).min(1.0);
+            for d in &mut ds {
+                *d = (*d * scale).min(t1 - t0);
+            }
+            let mut s = Schedule::new(cores);
+            pack_subinterval(&items(&[1.0]), 0.0, 2.0, cores, &mut s).unwrap();
+            let before = s.len();
+            if pack_subinterval(&items(&ds), t0, t1, cores, &mut s).is_ok() {
+                let appended = s.len() - before;
+                assert!(
+                    appended <= n + n.min(cores - 1),
+                    "{appended} segments from {n} items on {cores} cores"
+                );
+            }
+        }
+        // The bound is tight: the second and third items both wrap.
+        let mut s = Schedule::new(3);
+        pack_subinterval(&items(&[1.5; 3]), 0.0, 2.0, 3, &mut s).unwrap();
+        assert_eq!(s.len(), 3 + 2);
+        assert_eq!(max_packed_segments(3, 3), 3 + 2);
     }
 
     #[test]

@@ -14,11 +14,16 @@
 //!
 //! Both are materialized into concrete [`Schedule`]s via Algorithm 1
 //! ([`crate::packing`]) so they can be validated and simulated; their
-//! energies are the analytic `E^I`/`E^F` of the paper.
+//! energies are the analytic `E^I`/`E^F` of the paper. The two builds
+//! read the same allocation and nothing of each other, so
+//! [`build_outcome_with`] runs them side by side when given a pool.
+//! Each schedule's segment buffer is sized once, to the packer's upper
+//! bound for the timeline.
 
 use crate::allocation::AvailMatrix;
 use crate::ideal::IdealSolution;
-use crate::packing::{pack_subinterval, PackItem};
+use crate::packing::{max_packed_segments, pack_subinterval, PackItem};
+use crate::pool::Pool;
 use crate::scratch::Scratch;
 use esched_obs::{span, Level};
 use esched_subinterval::Timeline;
@@ -44,6 +49,16 @@ pub struct HeuristicOutcome {
     pub schedule: Schedule,
 }
 
+/// The most segments packing every subinterval of `timeline` can emit:
+/// one packed item per overlapping task, plus the packer's splits.
+fn packed_capacity(timeline: &Timeline, cores: usize) -> usize {
+    timeline
+        .subintervals()
+        .iter()
+        .map(|sub| max_packed_segments(sub.overlapping.len(), cores))
+        .sum()
+}
+
 /// Build the intermediate schedule: per subinterval, each overlapping task
 /// runs for `min(u, a)` where `u = |U_i^O ∩ sub|`, at frequency `f_i^O`
 /// when `u ≤ a` and at the squeezed `u·f_i^O/a` otherwise. The work
@@ -65,7 +80,7 @@ pub fn intermediate_schedule_with(
     avail: &AvailMatrix,
     items: &mut Vec<PackItem>,
 ) -> Schedule {
-    let mut out = Schedule::new(cores);
+    let mut out = Schedule::with_capacity(cores, packed_capacity(timeline, cores));
     // Ideal-overlap staging: computed for the whole column in one tight
     // pass before the branchy item-selection loop, so the hot part of the
     // column walk is a flat sequential fill.
@@ -189,7 +204,7 @@ pub fn final_schedule_with(
         // rather than dividing into inf/NaN.
         scale[i] = if a > 0.0 { (d / a).min(1.0) } else { 0.0 };
     }
-    let mut out = Schedule::new(cores);
+    let mut out = Schedule::with_capacity(cores, packed_capacity(timeline, cores));
     // Scaled-usage staging: one flat gather-multiply over the column's
     // cells before the branchy item-selection loop — the multiply runs
     // over sequential slab loads, which is what the autovectorizer needs.
@@ -242,10 +257,18 @@ pub fn build_outcome(
         ideal,
         avail,
         &mut Scratch::new(),
+        None,
     )
 }
 
 /// [`build_outcome`] staging pack items and scale factors in `scratch`.
+///
+/// With a `pool`, the intermediate schedule and its energy are built on
+/// the calling thread while the final assignment, its analytic energy and
+/// the final schedule are built on a second thread ([`Pool::join`]; in
+/// sequence when the pool has one worker). The two builds share no
+/// state, so the outcome is bit-identical with or without a pool.
+#[allow(clippy::too_many_arguments)] // the refinement inputs plus where to run them
 pub fn build_outcome_with(
     tasks: &TaskSet,
     timeline: &Timeline,
@@ -254,6 +277,7 @@ pub fn build_outcome_with(
     ideal: &IdealSolution,
     avail: AvailMatrix,
     scratch: &mut Scratch,
+    pool: Option<&Pool>,
 ) -> HeuristicOutcome {
     let _span = span!(
         Level::Debug,
@@ -263,21 +287,32 @@ pub fn build_outcome_with(
         cores = cores,
     );
     let total_avail = avail.totals();
-    let assignment = final_assignment(tasks, &total_avail, power);
-    let intermediate =
-        intermediate_schedule_with(timeline, cores, ideal, &avail, &mut scratch.items);
-    let schedule = final_schedule_with(
-        tasks,
-        timeline,
-        cores,
-        &avail,
-        &assignment,
-        &mut scratch.items,
-        &mut scratch.scale,
-    );
-    let works: Vec<f64> = tasks.tasks().iter().map(|t| t.wcec).collect();
-    let final_energy = assignment.energy(&works, power);
-    let intermediate_energy = intermediate.energy(power);
+    let Scratch { items, scale, .. } = scratch;
+    let intermediate_job = || {
+        let schedule = intermediate_schedule_with(timeline, cores, ideal, &avail, items);
+        let energy = schedule.energy(power);
+        (schedule, energy)
+    };
+    let final_job = || {
+        let assignment = final_assignment(tasks, &total_avail, power);
+        let works: Vec<f64> = tasks.tasks().iter().map(|t| t.wcec).collect();
+        let energy = assignment.energy(&works, power);
+        // Its own staging buffer: the intermediate build may be using
+        // the scratch one at the same time.
+        let schedule = final_schedule_with(
+            tasks,
+            timeline,
+            cores,
+            &avail,
+            &assignment,
+            &mut Vec::new(),
+            scale,
+        );
+        (assignment, energy, schedule)
+    };
+    let serial = Pool::with_threads(1);
+    let ((intermediate, intermediate_energy), (assignment, final_energy, schedule)) =
+        pool.unwrap_or(&serial).join(intermediate_job, final_job);
     HeuristicOutcome {
         avail,
         total_avail,
@@ -294,7 +329,8 @@ mod tests {
     use super::*;
     use crate::allocation::{allocate, allocate_even, AllocRequest};
     use crate::ideal::ideal_schedule;
-    use esched_types::validate_schedule;
+    use esched_obs::rng::ChaCha8;
+    use esched_types::{validate_schedule, Task};
 
     fn allocate_der(
         tasks: &TaskSet,
@@ -437,6 +473,113 @@ mod tests {
             sched_energy,
             out.final_energy
         );
+    }
+
+    /// `got` equals `want` field by field, every `f64` bit for bit.
+    fn assert_same_outcome(got: &HeuristicOutcome, want: &HeuristicOutcome) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let segments = |s: &Schedule| {
+            s.segments()
+                .iter()
+                .map(|g| {
+                    (
+                        g.task,
+                        g.core,
+                        g.interval.start.to_bits(),
+                        g.interval.end.to_bits(),
+                        g.freq.to_bits(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let HeuristicOutcome {
+            avail,
+            total_avail,
+            assignment,
+            intermediate_energy,
+            final_energy,
+            intermediate_schedule,
+            schedule,
+        } = want;
+        assert_eq!(&got.avail, avail);
+        assert_eq!(bits(&got.total_avail), bits(total_avail));
+        assert_eq!(bits(&got.assignment.freq), bits(&assignment.freq));
+        assert_eq!(bits(&got.assignment.avail), bits(&assignment.avail));
+        assert_eq!(
+            got.intermediate_energy.to_bits(),
+            intermediate_energy.to_bits()
+        );
+        assert_eq!(got.final_energy.to_bits(), final_energy.to_bits());
+        for (g, w) in [
+            (&got.intermediate_schedule, intermediate_schedule),
+            (&got.schedule, schedule),
+        ] {
+            assert_eq!(g.cores, w.cores);
+            assert_eq!(segments(g), segments(w));
+        }
+    }
+
+    /// Up to ten tasks on up to twelve cores (often more cores than
+    /// tasks), with times on a coarse grid so windows share boundaries,
+    /// some boundaries nudged by a sub-`EPS` amount so the timeline has
+    /// sliver subintervals, and some tasks carrying dust-sized work.
+    fn arb_instance(rng: &mut ChaCha8) -> (TaskSet, usize, PolynomialPower) {
+        let n = rng.gen_range_usize(1, 11);
+        let nudge = |rng: &mut ChaCha8, t: f64| {
+            if rng.gen_bool(0.2) {
+                t + 3e-8
+            } else {
+                t
+            }
+        };
+        let tasks = (0..n)
+            .map(|_| {
+                let r = rng.gen_range_usize(0, 20) as f64 * 0.5;
+                let r = nudge(rng, r);
+                let d = r + rng.gen_range_usize(1, 16) as f64 * 0.5;
+                let d = nudge(rng, d);
+                let c = if rng.gen_bool(0.15) {
+                    1e-9
+                } else {
+                    (d - r) * rng.gen_range_f64(0.05, 1.5)
+                };
+                Task::of(r, d, c)
+            })
+            .collect();
+        let cores = rng.gen_range_usize(1, 13);
+        let power =
+            PolynomialPower::paper(rng.gen_range_f64(2.0, 3.0), rng.gen_range_f64(0.0, 0.3));
+        (TaskSet::new(tasks).unwrap(), cores, power)
+    }
+
+    #[test]
+    fn a_pool_builds_the_same_outcome_bit_for_bit() {
+        let pools = [Pool::with_threads(2), Pool::with_threads(4)];
+        let mut rng = ChaCha8::seed_from_u64(0x5eed_00f2);
+        for _ in 0..200 {
+            let (ts, cores, p) = arb_instance(&mut rng);
+            let tl = Timeline::build(&ts);
+            let ideal = ideal_schedule(&ts, &p);
+            for avail in [
+                allocate_even(&ts, &tl, cores),
+                allocate_der(&ts, &tl, cores, &ideal),
+            ] {
+                let serial = build_outcome(&ts, &tl, cores, &p, &ideal, avail.clone());
+                for pool in &pools {
+                    let pooled = build_outcome_with(
+                        &ts,
+                        &tl,
+                        cores,
+                        &p,
+                        &ideal,
+                        avail.clone(),
+                        &mut Scratch::new(),
+                        Some(pool),
+                    );
+                    assert_same_outcome(&pooled, &serial);
+                }
+            }
+        }
     }
 
     #[test]

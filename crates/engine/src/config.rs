@@ -60,12 +60,14 @@ pub struct EngineConfig {
     /// outcome. Off drops the wall-clock numbers, leaving the outcome a
     /// pure function of the request.
     pub telemetry: bool,
-    /// When set, the DER allocation stage fans heavy subinterval ranges
-    /// of *this one instance* across the work-stealing pool once the
-    /// timeline has at least this many subintervals. Chunk boundaries
-    /// are a pure function of the instance, so the outcome stays
+    /// When set, *this one instance* runs on the work-stealing pool once
+    /// the timeline has at least this many subintervals: the DER
+    /// allocation stage fans heavy subinterval ranges across it, and
+    /// refinement builds the intermediate and final schedules on two of
+    /// its threads. Chunk boundaries are a pure function of the instance
+    /// and the two schedules share nothing, so the outcome stays
     /// byte-identical at any worker count. `None` (the default) keeps
-    /// allocation on the calling thread — the right choice for batch
+    /// both stages on the calling thread — the right choice for batch
     /// workloads where parallelism across instances already saturates
     /// the pool.
     pub intra_parallelism: Option<usize>,
@@ -128,8 +130,10 @@ impl EngineConfig {
         self
     }
 
-    /// Fan the DER allocation of a single instance across the pool once
-    /// its timeline reaches `threshold_subintervals` subintervals. Use
+    /// Spread one instance across an intra-instance pool once its
+    /// timeline reaches `threshold_subintervals` subintervals: the DER
+    /// allocation fans its columns across the pool, and refinement builds
+    /// the intermediate and final schedules side by side. Use
     /// [`esched_core::DEFAULT_PARALLEL_THRESHOLD`] unless you have
     /// measured otherwise; small instances only lose to fan-out
     /// overhead.

@@ -13,6 +13,17 @@ use esched_sim::simulate;
 use esched_subinterval::Timeline;
 use std::time::Instant;
 
+/// The intra pool when refinement should use it: by the allocator's rule,
+/// the pool has more than one worker and the timeline reaches the
+/// `intra_parallelism` threshold.
+pub(crate) fn refine_pool<'a>(
+    pool: Option<&'a Pool>,
+    threshold: Option<usize>,
+    timeline: &Timeline,
+) -> Option<&'a Pool> {
+    pool.filter(|p| p.threads() > 1 && threshold.is_some_and(|t| timeline.len() >= t))
+}
+
 /// Run the full pipeline for one request.
 ///
 /// Panics on a malformed request (`cores == 0`); the pool catches the
@@ -46,6 +57,13 @@ pub fn execute(scratch: &mut Scratch, request: &ScheduleRequest) -> ScheduleOutc
     let ideal = ideal_schedule(&request.tasks, &request.power);
     trace.record_phase("timeline", t_phase.elapsed());
 
+    // The intra-instance pool is only materialized when the knob is set;
+    // it shares sizing rules (`ESCHED_ENGINE_THREADS`) with the batch
+    // pool. It serves allocation (column chunks) and refinement (the
+    // intermediate and final schedules built side by side); both keep
+    // the outcome byte-identical either way.
+    let intra_pool = cfg.intra_parallelism.map(|_| Pool::new());
+    let refine_pool = refine_pool(intra_pool.as_ref(), cfg.intra_parallelism, &timeline);
     let run_even = |scratch: &mut Scratch| -> HeuristicOutcome {
         let avail = allocate_even(&request.tasks, &timeline, request.cores);
         build_outcome_with(
@@ -56,12 +74,9 @@ pub fn execute(scratch: &mut Scratch, request: &ScheduleRequest) -> ScheduleOutc
             &ideal,
             avail,
             scratch,
+            refine_pool,
         )
     };
-    // The intra-instance pool is only materialized when the knob is set;
-    // it shares sizing rules (`ESCHED_ENGINE_THREADS`) with the batch
-    // pool, and chunking keeps the outcome byte-identical either way.
-    let intra_pool = cfg.intra_parallelism.map(|_| Pool::new());
     let run_der = |scratch: &mut Scratch| -> HeuristicOutcome {
         let mut alloc_req = AllocRequest::new(&request.tasks, &timeline, request.cores, &ideal)
             .with_scratch(&mut *scratch);
@@ -77,6 +92,7 @@ pub fn execute(scratch: &mut Scratch, request: &ScheduleRequest) -> ScheduleOutc
             &ideal,
             avail,
             scratch,
+            refine_pool,
         )
     };
 

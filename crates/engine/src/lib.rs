@@ -35,9 +35,10 @@
 //! The pool machinery itself lives in [`esched_core::Pool`]; [`Engine`]
 //! wraps it with request/outcome plumbing. For very large single
 //! instances, [`EngineConfig::with_intra_parallelism`] additionally fans
-//! the DER allocation of *one* request across the pool — chunk
-//! boundaries are a pure function of the instance, so outcomes stay
-//! byte-identical at any worker count.
+//! the DER allocation of *one* request across a pool and builds its
+//! intermediate and final schedules side by side — chunk boundaries are
+//! a pure function of the instance and the two schedules share nothing,
+//! so outcomes stay byte-identical at any worker count.
 //!
 //! Metrics (`esched_obs::metrics`): `esched.engine.batches`,
 //! `esched.engine.jobs`, `esched.engine.steals`, `esched.engine.panics`

@@ -41,6 +41,7 @@
 
 use crate::audit::{AuditConfig, ShadowAuditor};
 use crate::config::{Algorithm, EngineConfig, ScheduleRequest};
+use crate::exec::refine_pool;
 use crate::outcome::{DiscreteSummary, OptSummary, ScheduleOutcome, SimVerdict};
 use esched_core::{
     allocate, allocate_even, build_outcome_with, final_assignment, final_schedule_with,
@@ -179,9 +180,10 @@ pub struct OnlineEngine {
     assignment: FrequencyAssignment,
     final_energy: f64,
     scratch: Scratch,
-    // Intra-instance allocation pool, materialized by `with_config` when
-    // the `intra_parallelism` knob is set. Chunking keeps repairs
-    // byte-identical to the serial path at any worker count.
+    // Intra-instance pool for allocation and refinement, materialized by
+    // `with_config` when the `intra_parallelism` knob is set. Chunked
+    // repairs and the refine join stay byte-identical to the serial path
+    // at any worker count.
     intra_pool: Option<Pool>,
     // Per-task totals X_i of the last certified optimum, if any — the
     // warm-start carrier across task-set mutations.
@@ -598,6 +600,11 @@ impl OnlineEngine {
         let mut trace = TraceCtx::new(request_id);
         let cfg = self.config.clone();
 
+        let refine_pool = refine_pool(
+            self.intra_pool.as_ref(),
+            cfg.intra_parallelism,
+            &self.timeline,
+        );
         let t_phase = Instant::now();
         let chosen = build_outcome_with(
             &self.task_set,
@@ -607,6 +614,7 @@ impl OnlineEngine {
             &self.ideal,
             self.avail.clone(),
             &mut self.scratch,
+            refine_pool,
         );
         trace.record_phase("der_alloc", t_phase.elapsed());
 
@@ -624,6 +632,7 @@ impl OnlineEngine {
                     &self.ideal,
                     even_avail,
                     &mut self.scratch,
+                    refine_pool,
                 );
                 let sol = optimal_energy_in(
                     &self.task_set,

@@ -1,9 +1,11 @@
 //! Batch execution on the shared work-stealing pool.
 //!
 //! The pool machinery itself (per-worker deques, steal-from-back,
-//! submission-order results, per-worker [`Scratch`] arenas, panic
-//! isolation) lives in [`esched_core::pool`] so the allocator can also
-//! fan one instance's columns across it; [`Engine`] is the
+//! submission-order results, panic isolation) lives in
+//! [`esched_obs::pool`], below every algorithm crate, and `esched_core`
+//! re-exports it with the [`ScratchPool`] extension that threads a
+//! per-worker [`Scratch`] arena through each job; the allocator and
+//! refinement use the same pool within one instance. [`Engine`] is the
 //! request/outcome wrapper the service layer uses: same sizing rules,
 //! same determinism contract (results indexed by submission order, so
 //! the output is identical regardless of worker count or steal

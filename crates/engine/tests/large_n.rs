@@ -4,14 +4,19 @@
 //! task; the simulator merges its event list from runs a canonical
 //! schedule already has in order, and still orders a shuffled or reversed
 //! segment list exactly; packing leaves each schedule in canonical order,
-//! so coalescing skips its sort).
+//! so coalescing skips its sort). Refinement on a pool, which builds the
+//! two schedules side by side, must give the serial outcome bit for bit.
 //!
 //! The 65k tests are release-mode tests:
 //! `cargo test --release -p esched-engine --test large_n -- --include-ignored`.
 
-use esched_core::der_schedule;
+use esched_core::{
+    allocate, build_outcome_with, der_schedule, ideal_schedule, AllocRequest, HeuristicOutcome,
+    Pool, Scratch,
+};
 use esched_obs::rng::ChaCha8;
 use esched_sim::{simulate, Conflict, SimReport};
+use esched_subinterval::Timeline;
 use esched_types::{validate_schedule, PolynomialPower, Schedule, Segment};
 use esched_workload::WorkloadSpec;
 
@@ -58,6 +63,77 @@ fn a_65k_task_der_plan_comes_out_canonical_and_coalesced() {
         "schedule {energy} vs analytic {}",
         outcome.final_energy
     );
+}
+
+/// `got` equals `want` field by field, every `f64` bit for bit.
+fn assert_same_outcome(got: &HeuristicOutcome, want: &HeuristicOutcome) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let segments = |s: &Schedule| {
+        s.segments()
+            .iter()
+            .map(|g| {
+                (
+                    g.task,
+                    g.core,
+                    g.interval.start.to_bits(),
+                    g.interval.end.to_bits(),
+                    g.freq.to_bits(),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    let HeuristicOutcome {
+        avail,
+        total_avail,
+        assignment,
+        intermediate_energy,
+        final_energy,
+        intermediate_schedule,
+        schedule,
+    } = want;
+    assert_eq!(&got.avail, avail);
+    assert_eq!(bits(&got.total_avail), bits(total_avail));
+    assert_eq!(bits(&got.assignment.freq), bits(&assignment.freq));
+    assert_eq!(bits(&got.assignment.avail), bits(&assignment.avail));
+    assert_eq!(
+        got.intermediate_energy.to_bits(),
+        intermediate_energy.to_bits()
+    );
+    assert_eq!(got.final_energy.to_bits(), final_energy.to_bits());
+    for (g, w) in [
+        (&got.intermediate_schedule, intermediate_schedule),
+        (&got.schedule, schedule),
+    ] {
+        assert_eq!(g.cores, w.cores);
+        assert_eq!(segments(g), segments(w));
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-mode test")]
+fn refining_a_65k_task_der_plan_on_a_pool_is_bit_identical() {
+    let tasks = WorkloadSpec::large_n(65_536).instantiate(1);
+    let power = PolynomialPower::paper(3.0, 0.1);
+    let cores = 8;
+    let timeline = Timeline::build(&tasks);
+    let ideal = ideal_schedule(&tasks, &power);
+    let avail = allocate(AllocRequest::new(&tasks, &timeline, cores, &ideal));
+    let refine = |pool: Option<&Pool>| {
+        build_outcome_with(
+            &tasks,
+            &timeline,
+            cores,
+            &power,
+            &ideal,
+            avail.clone(),
+            &mut Scratch::new(),
+            pool,
+        )
+    };
+    let serial = refine(None);
+    for threads in [2, 4] {
+        assert_same_outcome(&refine(Some(&Pool::with_threads(threads))), &serial);
+    }
 }
 
 fn schedule_of(cores: usize, segments: &[Segment]) -> Schedule {

@@ -88,6 +88,24 @@ fn online_outcome_matches_offline_across_worker_counts() {
     assert_byte_identical(&mut engine, &[1, 4, 8]);
 }
 
+/// With an intra pool at threshold 1 the online engine and the offline
+/// pipeline both refine on two threads (and the solver config refines
+/// the even allocation too); the outcomes stay byte-identical.
+#[test]
+fn online_outcome_matches_offline_with_intra_parallelism() {
+    let cfg = EngineConfig::new()
+        .with_solver(esched_opt::SolverKind::ProjectedGradient)
+        .with_intra_parallelism(1)
+        .with_telemetry(false);
+    let mut engine =
+        OnlineEngine::new(seed_set(), 4, PolynomialPower::paper(3.0, 0.1)).with_config(cfg);
+    assert_byte_identical(&mut engine, &[1, 4]);
+    for event in mixed_events() {
+        engine.apply(&event).expect("event rejected");
+        assert_byte_identical(&mut engine, &[1]);
+    }
+}
+
 #[test]
 fn online_outcome_matches_offline_with_all_stages_enabled() {
     let cfg = EngineConfig::new()

@@ -22,7 +22,10 @@
 //! 4. on a panic the scope's `Drop` (which runs during unwinding) stamps a
 //!    `panic` record into the flight recorder while the request id is
 //!    still known — this is what lets a post-mortem dump name the failing
-//!    request.
+//!    request;
+//! 5. a [`crate::pool::Pool`] thread running part of a request (an
+//!    allocation chunk, one of the two refinement builds) re-enters the
+//!    submitting thread's id for the duration of the batch or join.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -8,13 +8,15 @@
 //! count or steal interleaving — the property the engine's determinism
 //! test pins.
 //!
-//! The pool lives here, below every algorithm crate, so all three
-//! parallel consumers can share one implementation:
+//! The pool lives here, below every algorithm crate, so all its parallel
+//! consumers can share one implementation:
 //!
 //! * `esched-engine` fans whole schedule requests across it,
 //! * `esched-core`'s allocator fans heavy subinterval ranges of *one*
 //!   instance across it ([`Pool::batch_map_with`] with the allocator's
-//!   scratch arena as the worker context), and
+//!   scratch arena as the worker context),
+//! * `esched-core`'s refinement builds one instance's intermediate and
+//!   final schedules side by side ([`Pool::join`]), and
 //! * `esched-opt`'s decomposed ADMM solver fans per-task subproblems
 //!   across it every round ([`Pool::scoped_run`]).
 //!
@@ -25,6 +27,10 @@
 //! fan-out where a panic should propagate instead of being collected.
 //! Metric names keep the historical `esched.engine.*` prefix —
 //! dashboards and the obs smoke tests predate the moves.
+//!
+//! Every pool thread re-enters the caller's [`RequestScope`], so spans and
+//! flight records emitted inside a job carry the request that submitted
+//! it, not request 0.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,6 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::ctx::{current_request, RequestScope};
 use crate::{metric_counter, metric_gauge, metric_histogram};
 
 /// A batch executor with a fixed worker count.
@@ -191,6 +198,36 @@ impl Pool {
             .collect()
     }
 
+    /// Run `a` on the calling thread and `b` on one scoped thread, and
+    /// return both results. With one worker the two run in sequence, `a`
+    /// first. A panic in either closure is re-raised on the caller with
+    /// its original payload, after both have finished.
+    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA,
+        B: FnOnce() -> RB + Send,
+        RB: Send,
+    {
+        if self.threads == 1 {
+            let ra = a();
+            return (ra, b());
+        }
+        let request = current_request();
+        std::thread::scope(|scope| {
+            // `b`'s panic is caught inside its request scope, so only the
+            // caller's scope stamps it, once, as on the serial path.
+            let handle = scope.spawn(move || {
+                let _scope = request.map(RequestScope::enter);
+                catch_unwind(AssertUnwindSafe(b))
+            });
+            let ra = a();
+            match handle.join().expect("join's second closure cannot unwind") {
+                Ok(rb) => (ra, rb),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        })
+    }
+
     fn run_pool<C, I, T, F, G>(
         &self,
         items: Vec<I>,
@@ -216,6 +253,7 @@ impl Pool {
         let results: Mutex<Vec<Option<Result<T, PoolError>>>> =
             Mutex::new((0..n).map(|_| None).collect());
         let steals = AtomicU64::new(0);
+        let request = current_request();
 
         std::thread::scope(|scope| {
             for w in 0..workers {
@@ -223,6 +261,7 @@ impl Pool {
                 let results = &results;
                 let steals = &steals;
                 scope.spawn(move || {
+                    let _scope = request.map(RequestScope::enter);
                     let mut c = ctx();
                     let mut local: Vec<(usize, Result<T, PoolError>)> = Vec::new();
                     let worker_start = Instant::now();
@@ -391,6 +430,49 @@ mod tests {
                 x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             );
+        }
+    }
+
+    #[test]
+    fn join_returns_both_results_at_any_width() {
+        for threads in [1usize, 2, 4] {
+            let pool = Pool::with_threads(threads);
+            let mut left = Vec::new();
+            let (a, b) = pool.join(
+                || {
+                    left.push(1);
+                    "a"
+                },
+                || (0..100u64).sum::<u64>(),
+            );
+            assert_eq!((a, b, left), ("a", 4950, vec![1]));
+        }
+    }
+
+    #[test]
+    fn join_runs_in_sequence_on_one_worker() {
+        let order = Mutex::new(Vec::new());
+        Pool::with_threads(1).join(
+            || order.lock().unwrap().push('a'),
+            || order.lock().unwrap().push('b'),
+        );
+        assert_eq!(order.into_inner().unwrap(), ['a', 'b']);
+    }
+
+    #[test]
+    fn join_reraises_either_panic_on_the_caller() {
+        for threads in [1usize, 2] {
+            let pool = Pool::with_threads(threads);
+            let from_b = catch_unwind(AssertUnwindSafe(|| {
+                pool.join(|| 1, || -> u8 { panic!("second job failed") })
+            }))
+            .unwrap_err();
+            assert_eq!(panic_message(from_b), "second job failed");
+            let from_a = catch_unwind(AssertUnwindSafe(|| {
+                pool.join(|| -> u8 { panic!("first job failed") }, || 2)
+            }))
+            .unwrap_err();
+            assert_eq!(panic_message(from_a), "first job failed");
         }
     }
 

@@ -5,6 +5,7 @@
 //! this file records — other tests in the binary can run concurrently.
 
 use esched_obs::recorder::{self, FlightKind, FlightRecord};
+use esched_obs::{Pool, RequestId, RequestScope};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -148,5 +149,34 @@ fn disabled_recorder_drops_writes() {
     assert!(
         !snap.iter().any(|r| r.name == "fr_disabled"),
         "disabled write leaked into the ring"
+    );
+}
+
+/// A flight record written inside a pool job carries the request of the
+/// thread that submitted it, on a batch worker and on a join's second
+/// thread alike.
+#[test]
+fn pool_jobs_record_under_the_submitting_request() {
+    let _guard = serialize();
+    recorder::set_enabled(true);
+    let id = RequestId::next();
+    let _scope = RequestScope::enter(id);
+    let pool = Pool::with_threads(2);
+    pool.scoped_run((0..4u64).collect(), |k| {
+        esched_obs::flight_event!("fr_pool_batch", k);
+    });
+    pool.join(
+        || esched_obs::flight_event!("fr_pool_join", 0),
+        || esched_obs::flight_event!("fr_pool_join", 1),
+    );
+    let snap = recorder::snapshot();
+    let mine: Vec<&FlightRecord> = snap
+        .iter()
+        .filter(|r| r.name.starts_with("fr_pool_"))
+        .collect();
+    assert_eq!(mine.len(), 6, "{mine:?}");
+    assert!(
+        mine.iter().all(|r| r.request == id.as_u64()),
+        "a pool job recorded outside its request: {mine:?}"
     );
 }

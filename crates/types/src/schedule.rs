@@ -81,10 +81,20 @@ impl Schedule {
     /// # Panics
     /// If `cores == 0`.
     pub fn new(cores: usize) -> Self {
+        Self::with_capacity(cores, 0)
+    }
+
+    /// An empty schedule on `cores` cores with room for `segments`
+    /// segments, for producers that know an upper bound on their output
+    /// and would otherwise grow the buffer by doubling.
+    ///
+    /// # Panics
+    /// If `cores == 0`.
+    pub fn with_capacity(cores: usize, segments: usize) -> Self {
         assert!(cores > 0, "a schedule needs at least one core");
         Self {
             cores,
-            segments: Vec::new(),
+            segments: Vec::with_capacity(segments),
         }
     }
 
