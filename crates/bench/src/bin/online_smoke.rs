@@ -9,7 +9,8 @@
 //!    offline pipeline at 1, 4, and 8 workers.
 //! 2. **Replan speedup**: at n=1024 the median incremental replan must be
 //!    at least 5× faster than a from-scratch `execute` of the same
-//!    mutated instance.
+//!    mutated instance, and at least 18 of its 20 ±0.25 window slides
+//!    must patch the timeline in place instead of rebuilding it.
 //! 3. **Benchjson coverage**: the curated `online/*` entries run and the
 //!    emitted document contains `online/replan_p99`, so the perf gate
 //!    actually tracks the replan path.
@@ -29,6 +30,8 @@ const EVENTS: usize = 512;
 const CHECK_EVERY: usize = 128;
 /// The acceptance bar: incremental replan vs. from-scratch execute.
 const MIN_SPEEDUP: f64 = 5.0;
+/// Of the 20 slides at n=1024, how many must patch the timeline in place.
+const MIN_PATCHED_SHIFTS: usize = 18;
 
 fn assert_byte_identical(engine: &mut OnlineEngine, workers: &[usize], context: &str) {
     let request = engine.as_request();
@@ -117,6 +120,7 @@ fn main() {
     // --- 2. replan-vs-execute speedup at n=1024 ---
     let mut big = OnlineEngine::new(paper_tasks(1024, 3), 8, power);
     let mut replan_ns = Vec::with_capacity(20);
+    let mut patched = 0usize;
     for i in 0..20usize {
         let id = (i * 193) % big.len();
         let t = *big.tasks().get(id);
@@ -127,9 +131,16 @@ fn main() {
             deadline: t.deadline + delta,
         };
         let t0 = Instant::now();
-        big.apply(&event).expect("replan event rejected");
+        let report = big.apply(&event).expect("replan event rejected");
         replan_ns.push(t0.elapsed().as_nanos() as f64);
+        patched += usize::from(!report.timeline_rebuilt);
     }
+    println!("online_smoke: n=1024 {patched}/20 shifts patched the timeline in place");
+    assert!(
+        patched >= MIN_PATCHED_SHIFTS,
+        "only {patched} of 20 shifts patched the timeline (need >= {MIN_PATCHED_SHIFTS}); \
+         shifts are falling back to a full rebuild"
+    );
     let request = big.as_request();
     let offline = Engine::with_threads(1);
     let mut exec_ns = Vec::with_capacity(3);

@@ -234,26 +234,53 @@ fn gen_shift(rng: &mut ChaCha8, mirror: &[Task]) -> OnlineEvent {
     let t = mirror[task];
     let grid = event_grid(mirror);
     for _ in 0..32 {
-        let (release, deadline) = match rng.gen_range_usize(0, 4) {
+        let (task, release, deadline) = match rng.gen_range_usize(0, 6) {
             // Snap endpoints (jittered) back onto the grid: the vacated
             // old boundary may still be referenced by another task.
             0 | 1 if grid.len() >= 2 => {
                 let a = rng.gen_range_usize(0, grid.len() - 1);
                 let b = rng.gen_range_usize(a + 1, grid.len());
-                (jitter(rng, grid[a]), jitter(rng, grid[b]))
+                (task, jitter(rng, grid[a]), jitter(rng, grid[b]))
             }
             // Small slide of the whole window.
             2 => {
                 let d = rng.gen_range_f64(-2.0, 2.0);
-                (t.release + d, t.deadline + d)
+                (task, t.release + d, t.deadline + d)
+            }
+            // Slide the task that owns the first or last event point:
+            // the horizon shrinks or grows.
+            3 => {
+                let owner = if rng.gen_bool(0.5) {
+                    mirror.iter().position(|o| o.release == grid[0])
+                } else {
+                    mirror
+                        .iter()
+                        .position(|o| o.deadline == grid[grid.len() - 1])
+                }
+                .expect("some task owns each end of the grid");
+                let o = mirror[owner];
+                let d = rng.gen_range_f64(0.25, 3.0);
+                let d = if rng.gen_bool(0.5) { d } else { -d };
+                (owner, o.release + d, o.deadline + d)
+            }
+            // Vacate one endpoint and land the other bitwise on it.
+            4 => {
+                let w = (t.deadline - t.release) * rng.gen_range_f64(0.2, 1.5);
+                if rng.gen_bool(0.5) {
+                    (task, t.deadline, t.deadline + w)
+                } else {
+                    (task, t.release - w, t.release)
+                }
             }
             // Stretch or near-collapse around the release.
             _ => (
+                task,
                 t.release,
                 t.release + (t.deadline - t.release) * rng.gen_range_f64(0.05, 2.0),
             ),
         };
-        if valid_window(release, deadline) && Task::new(release, deadline, t.wcec).is_ok() {
+        let wcec = mirror[task].wcec;
+        if valid_window(release, deadline) && Task::new(release, deadline, wcec).is_ok() {
             return OnlineEvent::Shift {
                 task,
                 release,

@@ -773,8 +773,9 @@ fn waterfill_gather_column(
     scratch.der_w = der_w;
 }
 
-/// Fill columns `cols` of a zeroed slab: light columns get `Δ_j`
-/// outright, heavy columns stage their DER weights flat and water-fill.
+/// Fill columns `cols` of a slab, overwriting every cell: light columns
+/// get `Δ_j` outright, heavy columns stage their DER weights flat and
+/// water-fill.
 /// `slab` is `data[col_offsets[cols.start]..col_offsets[cols.end]]` and
 /// `slab_base = col_offsets[cols.start]`, so the same body serves the
 /// serial whole-matrix pass and one parallel chunk. Fusing light and
@@ -1010,18 +1011,7 @@ pub fn allocate(req: AllocRequest<'_>) -> AvailMatrix {
             allocate_no_redistribution_impl(tasks, timeline, cores, ideal)
         }
         DerStrategy::Waterfill => {
-            let _span = span!(
-                Level::Debug,
-                "allocate_der",
-                n_tasks = tasks.len(),
-                n_subintervals = timeline.len(),
-                n_heavy = heavy_count(timeline, cores),
-            );
-            metric_counter!("esched.core.der_alloc_calls").inc();
-            let _flight = esched_obs::flight_span!("allocate_der");
             let mut avail = AvailMatrix::zeros(timeline, tasks.len());
-            let mut stats = WaterfillStats::default();
-            let n_cols = timeline.len();
             let mut local;
             let scratch = match scratch {
                 Some(s) => s,
@@ -1030,50 +1020,88 @@ pub fn allocate(req: AllocRequest<'_>) -> AvailMatrix {
                     &mut local
                 }
             };
-            // One sequential pass packs the ideal solution into the
-            // gather records every column's staging loop reads
-            // (`Scratch::packed` keeps the buffer across calls); the
-            // parallel path shares the same slice read-only.
-            let mut packed = std::mem::take(&mut scratch.packed);
-            packed.clear();
-            packed.extend(
-                ideal
-                    .exec
-                    .iter()
-                    .zip(ideal.freq.iter())
-                    .map(|(e, &f)| [e.start, e.end, f]),
-            );
-            let fan_out = pool.filter(|p| p.threads() > 1 && n_cols >= parallel_threshold);
-            if let Some(p) = fan_out {
-                fill_columns_parallel(timeline, cores, &packed, &mut avail, p, &mut stats);
-            } else {
-                let AvailMatrix {
-                    data, col_offsets, ..
-                } = &mut avail;
-                fill_columns(
-                    timeline,
-                    cores,
-                    &packed,
-                    0..n_cols,
-                    data,
-                    0,
-                    col_offsets,
-                    scratch,
-                    &mut stats,
-                );
-            }
-            scratch.packed = packed;
-            metric_counter!("esched.core.der_waterfill_capped").add(stats.capped);
-            metric_counter!("esched.core.der_fallback_even").add(stats.even);
-            event!(
-                Level::Debug,
-                "der allocation done",
-                capped = stats.capped,
-                fallback_even = stats.even,
+            fill_der(
+                timeline,
+                cores,
+                ideal,
+                &mut avail,
+                scratch,
+                pool,
+                parallel_threshold,
             );
             avail
         }
     }
+}
+
+/// Water-fill every column of `avail`, which `timeline` shaped, the way
+/// [`allocate`]'s [`DerStrategy::Waterfill`] does: light columns get
+/// `Δ_j`, heavy columns their DER water-fill. Every cell is overwritten,
+/// so whatever `avail` held before does not matter — the online repair's
+/// fallback fills the matrix it already shaped instead of shaping a
+/// second one. The pass fans out across `pool` under the same rule as
+/// `allocate`.
+fn fill_der(
+    timeline: &Timeline,
+    cores: usize,
+    ideal: &IdealSolution,
+    avail: &mut AvailMatrix,
+    scratch: &mut Scratch,
+    pool: Option<&Pool>,
+    parallel_threshold: usize,
+) {
+    let _span = span!(
+        Level::Debug,
+        "allocate_der",
+        n_tasks = avail.task_count(),
+        n_subintervals = timeline.len(),
+        n_heavy = heavy_count(timeline, cores),
+    );
+    metric_counter!("esched.core.der_alloc_calls").inc();
+    let _flight = esched_obs::flight_span!("allocate_der");
+    let mut stats = WaterfillStats::default();
+    let n_cols = timeline.len();
+    // One sequential pass packs the ideal solution into the gather
+    // records every column's staging loop reads (`Scratch::packed` keeps
+    // the buffer across calls); the parallel path shares the same slice
+    // read-only.
+    let mut packed = std::mem::take(&mut scratch.packed);
+    packed.clear();
+    packed.extend(
+        ideal
+            .exec
+            .iter()
+            .zip(ideal.freq.iter())
+            .map(|(e, &f)| [e.start, e.end, f]),
+    );
+    let fan_out = pool.filter(|p| p.threads() > 1 && n_cols >= parallel_threshold);
+    if let Some(p) = fan_out {
+        fill_columns_parallel(timeline, cores, &packed, avail, p, &mut stats);
+    } else {
+        let AvailMatrix {
+            data, col_offsets, ..
+        } = avail;
+        fill_columns(
+            timeline,
+            cores,
+            &packed,
+            0..n_cols,
+            data,
+            0,
+            col_offsets,
+            scratch,
+            &mut stats,
+        );
+    }
+    scratch.packed = packed;
+    metric_counter!("esched.core.der_waterfill_capped").add(stats.capped);
+    metric_counter!("esched.core.der_fallback_even").add(stats.even);
+    event!(
+        Level::Debug,
+        "der allocation done",
+        capped = stats.capped,
+        fallback_even = stats.even,
+    );
 }
 
 /// See [`DerStrategy::Reference`].
@@ -1193,8 +1221,8 @@ pub struct DerRepairStats {
     pub dirty_columns: usize,
     /// Total columns of the patched timeline.
     pub total_columns: usize,
-    /// Whether the dirty fraction exceeded the threshold and the whole
-    /// allocation was recomputed by [`allocate`] instead.
+    /// Whether the dirty fraction exceeded the threshold and every column
+    /// was recomputed by [`allocate`]'s fill routine instead.
     pub fell_back: bool,
 }
 
@@ -1262,13 +1290,13 @@ pub fn repair_der_columns(
 /// is bit-identical to [`allocate`] from scratch — regardless of *how*
 /// the timeline was patched (including a full rebuild fallback).
 ///
-/// When more than `fallback_fraction` of the columns are dirty the
-/// copy-and-match bookkeeping stops paying for itself and the whole
-/// allocation is recomputed via [`allocate`] (same result, one fused
-/// pass) — that full pass fans out across `pool` when one is attached
-/// and the instance clears `parallel_threshold` subintervals. Light
-/// columns only depend on membership and `Δ_j`, so a dirty task alone
-/// never dirties a light column.
+/// When more than `fallback_fraction` of the columns are dirty, copying
+/// the clean ones stops paying for itself: the matrix shaped for the
+/// patch is instead filled in full by `allocate`'s own fill routine (same
+/// result, one fused pass), which fans out across `pool` when one is
+/// attached and the instance clears `parallel_threshold` subintervals.
+/// Light columns only depend on membership and `Δ_j`, so a dirty task
+/// alone never dirties a light column.
 #[allow(clippy::too_many_arguments)] // mirrors the allocate inputs plus the patch inputs
 pub fn reallocate_der_patched(
     tasks: &TaskSet,
@@ -1291,8 +1319,11 @@ pub fn reallocate_der_patched(
     let mut avail = AvailMatrix::zeros(timeline, tasks.len());
     // Match old and new columns with a two-pointer walk over the
     // time-sorted column bounds; lexicographic order on (start, end)
-    // keeps the walk linear through splits and insertions.
+    // keeps the walk linear through splits and insertions. Clean
+    // `(old, new)` pairs are copied only once the walk has ruled out the
+    // fallback.
     let mut dirty: Vec<usize> = Vec::new();
+    let mut clean: Vec<(usize, usize)> = Vec::new();
     let touches_dirty_task =
         |ids: &[TaskId]| dirty_tasks.iter().any(|t| ids.binary_search(t).is_ok());
     let (mut i, mut j) = (0usize, 0usize);
@@ -1302,11 +1333,10 @@ pub fn reallocate_der_patched(
         let nb = avail.col_bounds[j];
         if ob == nb {
             let heavy = avail.col_ids(j).len() > cores;
-            let clean = old.col_ids(i) == avail.col_ids(j)
-                && !(heavy && touches_dirty_task(avail.col_ids(j)));
-            if clean {
-                let src = old.col_offsets[i]..old.col_offsets[i + 1];
-                avail.col_mut(j).copy_from_slice(&old.data[src]);
+            if old.col_ids(i) == avail.col_ids(j)
+                && !(heavy && touches_dirty_task(avail.col_ids(j)))
+            {
+                clean.push((i, j));
             } else {
                 dirty.push(j);
             }
@@ -1326,13 +1356,20 @@ pub fn reallocate_der_patched(
         fell_back: dirty.len() as f64 > fallback_fraction * new_n as f64,
     };
     if stats.fell_back {
-        let mut req = AllocRequest::new(tasks, timeline, cores, ideal)
-            .with_scratch(scratch)
-            .with_parallel_threshold(parallel_threshold);
-        if let Some(p) = pool {
-            req = req.with_pool(p);
-        }
-        return (allocate(req), stats);
+        fill_der(
+            timeline,
+            cores,
+            ideal,
+            &mut avail,
+            scratch,
+            pool,
+            parallel_threshold,
+        );
+        return (avail, stats);
+    }
+    for (i, j) in clean {
+        let src = old.col_offsets[i]..old.col_offsets[i + 1];
+        avail.col_mut(j).copy_from_slice(&old.data[src]);
     }
     repair_der_columns(
         timeline,
@@ -1884,6 +1921,7 @@ mod tests {
         let mut rng = ChaCha8::seed_from_u64(0x9a7c_4ed1);
         let power = PolynomialPower::paper(3.0, 0.1);
         let mut scratch = Scratch::new();
+        let pool = Pool::with_threads(2);
         for case in 0..120 {
             let n = rng.gen_range_usize(8, 40);
             let cores = rng.gen_range_usize(1, 5);
@@ -1967,6 +2005,20 @@ mod tests {
             );
             assert!(fstats.fell_back || fstats.dirty_columns == 0, "case {case}");
             assert_eq!(forced, fresh, "case {case} forced fallback");
+            // ... nor filling the fallback's matrix across a pool.
+            let (pooled, _) = reallocate_der_patched(
+                &mutated,
+                &tl,
+                cores,
+                &ideal2,
+                &old,
+                &[dirty],
+                0.0,
+                Some(&pool),
+                1,
+                &mut scratch,
+            );
+            assert_eq!(pooled, fresh, "case {case} pooled fallback");
         }
     }
 

@@ -13,14 +13,17 @@
 //! final frequencies) across events and patches it locally:
 //!
 //! * the timeline is updated in place via
-//!   [`Timeline::rebuild_inserted`] / [`Timeline::rebuild_shifted`],
-//!   which fall back to a full rebuild whenever an in-place patch could
-//!   diverge bitwise from [`Timeline::build`];
+//!   [`Timeline::rebuild_inserted`] / [`Timeline::rebuild_shifted`]: an
+//!   arrival splices in its two endpoints, a shift removes the boundaries
+//!   it vacated and splices in its new ones, and both fall back to a full
+//!   rebuild only when an endpoint is approx- but not bitwise-equal to a
+//!   surviving event point, where an in-place patch could diverge bitwise
+//!   from [`Timeline::build`];
 //! * the availability matrix is repaired column-locally by
 //!   [`reallocate_der_patched`]: only columns whose structure or whose
 //!   heavy-column inputs changed are recomputed, and when the dirty
-//!   fraction exceeds [`OnlineEngine::with_fallback_fraction`] the whole
-//!   allocation is recomputed globally instead;
+//!   fraction exceeds [`OnlineEngine::with_fallback_fraction`] every
+//!   column of the patched matrix is recomputed in one pass instead;
 //! * an early completion ([`OnlineEvent::Complete`]) reclaims the unused
 //!   `C_i` mass MORA-style: the task's execution requirement drops to the
 //!   work it actually performed, the water-fill repair hands the freed
@@ -138,8 +141,11 @@ pub struct RecertSummary {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplanReport {
     /// Whether the timeline patch fell back to a full
-    /// [`Timeline::build`] (boundary within tolerance of an existing one,
-    /// vacated boundary, or other degenerate geometry).
+    /// [`Timeline::build`]: a new endpoint, or a vacated boundary, lies
+    /// within tolerance of a surviving event point without equaling it
+    /// bitwise (or the set is too small to patch). A vacated boundary that
+    /// no surviving point is near is removed in place and does not count.
+    /// Always `false` for a completion, which moves no event point.
     pub timeline_rebuilt: bool,
     /// Column-repair statistics from [`reallocate_der_patched`].
     pub der: DerRepairStats,

@@ -271,3 +271,90 @@ fn slack_reclamation_lowers_corunner_frequencies() {
     );
     assert_byte_identical(&mut engine, &[1]);
 }
+
+/// Measures what drives the repair's global fallback on the dense
+/// 1,024-task, 8-core instances of the `replan-1k` workload, under its
+/// event mix (5% arrivals, 30% completions at 0.9·C, 65% ±0.25 slides).
+/// A completion moves no event point, so the columns it dirties must be
+/// exactly the heavy columns its span covers; the printed table compares
+/// the fallback rate with the share of events whose task spans more than
+/// the fallback fraction of all columns. Run with
+/// `cargo test --release -p esched-engine --test online_offline -- --ignored --nocapture`.
+#[test]
+#[ignore = "measurement on 1k-task instances; prints the fallback breakdown"]
+fn fallback_rate_tracks_the_touched_task_span_on_dense_1k_instances() {
+    use esched_engine::online::DEFAULT_FALLBACK_FRACTION;
+    use esched_obs::ChaCha8;
+    use esched_subinterval::Timeline;
+
+    // Per event kind: [events, fallbacks, wide spans, fallbacks with a
+    // wide span]; a span is wide when its heavy columns alone exceed the
+    // fallback fraction of all columns.
+    let mut tally = [[0usize; 4]; 3];
+    let mut span_share = [0.0_f64; 3];
+    let mut heavy_share = 0.0;
+    for seed in 0..4u64 {
+        let tasks = WorkloadGenerator::new(GeneratorConfig::paper_default().with_tasks(1024), seed)
+            .generate();
+        let mut engine = OnlineEngine::new(tasks, 8, PolynomialPower::paper(3.0, 0.1));
+        let mut rng = ChaCha8::seed_from_u64(0xfa11 ^ seed);
+        for _ in 0..150 {
+            let u = rng.gen_f64();
+            let task = rng.gen_range_usize(0, engine.len());
+            let t = *engine.tasks().get(task);
+            let (kind, event) = if u < 0.05 {
+                let r = rng.gen_range_f64(t.release, t.deadline);
+                let w = rng.gen_range_f64(1.0, 20.0);
+                (0, OnlineEvent::Arrive(Task::of(r, r + w, w * 0.3)))
+            } else if u < 0.35 {
+                let actual_work = t.wcec * 0.9;
+                (1, OnlineEvent::Complete { task, actual_work })
+            } else {
+                let d = if rng.gen_bool(0.5) { 0.25 } else { -0.25 };
+                let (release, deadline) = (t.release + d, t.deadline + d);
+                (
+                    2,
+                    OnlineEvent::Shift {
+                        task,
+                        release,
+                        deadline,
+                    },
+                )
+            };
+            let report = engine.apply(&event).expect("valid event");
+            let touched = if kind == 0 { engine.len() - 1 } else { task };
+            let tl = Timeline::build(engine.tasks());
+            let heavy_in_span = tl.span(touched).filter(|&j| tl.get(j).is_heavy(8)).count();
+            let total = report.der.total_columns;
+            if kind == 1 {
+                assert_eq!(
+                    report.der.dirty_columns, heavy_in_span,
+                    "completion of task {task}"
+                );
+            }
+            let wide = heavy_in_span as f64 > DEFAULT_FALLBACK_FRACTION * total as f64;
+            let row = &mut tally[kind];
+            row[0] += 1;
+            row[1] += usize::from(report.der.fell_back);
+            row[2] += usize::from(wide);
+            row[3] += usize::from(wide && report.der.fell_back);
+            span_share[kind] += tl.span(touched).len() as f64 / total as f64;
+            heavy_share += tl.heavy_iter(8).count() as f64 / total as f64;
+        }
+    }
+    println!("kind      events  fallback  wide-span  both  mean span/columns");
+    for (kind, name) in ["arrive", "complete", "shift"].iter().enumerate() {
+        let [n, fell, wide, both] = tally[kind];
+        println!(
+            "{name:<9} {n:>6}  {fell:>8}  {wide:>9}  {both:>4}  {:.3}",
+            span_share[kind] / n.max(1) as f64
+        );
+    }
+    let events: usize = tally.iter().map(|r| r[0]).sum();
+    let fell: usize = tally.iter().map(|r| r[1]).sum();
+    println!(
+        "fallback rate {:.3} over {events} events; heavy columns {:.3} of all",
+        fell as f64 / events as f64,
+        heavy_share / events as f64
+    );
+}

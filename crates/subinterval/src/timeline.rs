@@ -228,71 +228,90 @@ impl Timeline {
     ///
     /// `tasks` must be the *updated* task set (same length, same ids) in
     /// which only `task`'s release/deadline differ from the set this
-    /// timeline was built from. When the new window endpoints are
-    /// *bitwise* equal to existing boundary points and the old endpoints
-    /// are still bitwise event points of some task, the boundary set is
-    /// provably unchanged and only the overlap sets over the symmetric
-    /// difference of the old and new spans need touching —
-    /// `O(n + k log n_j)` instead of a full rebuild. Otherwise this falls
-    /// back to [`Timeline::build`].
+    /// timeline was built from. A shift changes the event-point multiset
+    /// by at most two vacated and two new points, so the patch runs in
+    /// four steps:
     ///
-    /// Bitwise (not tolerant) equality is load-bearing: an endpoint that
-    /// is merely approx-equal to a boundary can change which
-    /// representative value the full build's dedup keeps, so patching in
-    /// place would diverge from [`Timeline::build`] by up to the
-    /// comparison tolerance. Near-collapsed windows whose endpoints both
-    /// land on the same boundary (`a == b`) also fall back.
+    /// 1. take `task` out of the overlap lists of its old span;
+    /// 2. decide each vacated boundary (the old span's two endpoints)
+    ///    against the event points of every *other* task:
+    ///    * some point equals it bitwise — the boundary stays;
+    ///    * no point is within the comparison tolerance of it — the
+    ///      boundary is removed: its two subintervals merge and every
+    ///      span index above it shifts down by one;
+    ///    * some point is approx- but not bitwise-equal to it — the full
+    ///      build's dedup would pick that point as the new representative,
+    ///      so we fall back to [`Timeline::build`];
+    /// 3. splice each new endpoint in exactly as
+    ///    [`rebuild_inserted`](Timeline::rebuild_inserted) does, falling
+    ///    back in the same approx-but-not-bitwise case;
+    /// 4. add `task` to the overlap lists of its new span.
+    ///
+    /// Each step keeps the result bitwise identical to a full rebuild, by
+    /// the argument `rebuild_inserted` documents: the dedup keeps a value
+    /// iff it is not approx-equal to the previous *kept* value, so
+    /// removing a point that was not kept, removing a kept point that no
+    /// remaining point is near, or adding a point near no kept one never
+    /// re-decides a neighbor. A vacated value whose bits another task
+    /// still holds leaves the sorted sequence unchanged. Signed zeros are
+    /// the one case where equal values differ in bits, so a vacated or new
+    /// zero whose sign differs from a surviving one also falls back.
     ///
     /// Returns `true` when the timeline was patched in place, `false` when
     /// it fell back to a full rebuild (the result is correct either way).
     pub fn rebuild_shifted(&mut self, tasks: &TaskSet, task: TaskId) -> bool {
-        let t = tasks.get(task);
-        let (new_a, new_b) = match (
-            crate::boundaries::locate_boundary(&self.boundaries, t.release),
-            crate::boundaries::locate_boundary(&self.boundaries, t.deadline),
-        ) {
-            (Some(a), Some(b))
-                if a < b && self.boundaries[a] == t.release && self.boundaries[b] == t.deadline =>
-            {
-                (a, b)
-            }
-            _ => {
-                *self = Timeline::build(tasks);
-                return false;
-            }
-        };
+        debug_assert_eq!(self.spans.len(), tasks.len(), "a shift keeps every id");
+        if self.patch_shifted(tasks, task) {
+            return true;
+        }
+        *self = Timeline::build(tasks);
+        false
+    }
+
+    /// The in-place half of [`Timeline::rebuild_shifted`]. On `false` the
+    /// timeline is left half-patched and the caller rebuilds it.
+    fn patch_shifted(&mut self, tasks: &TaskSet, task: TaskId) -> bool {
         let (old_a, old_b) = self.spans[task];
-        // The old endpoints stay boundaries only if some task in the
-        // updated set still has an event point with exactly that value;
-        // otherwise the decomposition itself changes and we rebuild. An
-        // approx-equal survivor is not enough: the full build would keep
-        // the survivor's value as the representative, not ours.
-        let anchored = |val: f64| {
-            tasks
-                .iter()
-                .any(|(_, other)| other.release == val || other.deadline == val)
+        for sub in &mut self.subintervals[old_a..old_b] {
+            if let Ok(pos) = sub.overlapping.binary_search(&task) {
+                sub.overlapping.remove(pos);
+            }
+        }
+        // A placeholder no boundary removal below can shift: index
+        // updates only touch values above the removed boundary.
+        self.spans[task] = (0, 0);
+        // Higher index first, so removing it cannot move the lower one.
+        let vacated = [old_b, old_a];
+        let vacated = if old_a == old_b {
+            &vacated[..1]
+        } else {
+            &vacated[..]
         };
-        if !(anchored(self.boundaries[old_a]) && anchored(self.boundaries[old_b])) {
-            *self = Timeline::build(tasks);
+        for &k in vacated {
+            let v = self.boundaries[k];
+            match anchor(tasks, task, v) {
+                Anchor::Exact => {}
+                Anchor::Near => return false,
+                Anchor::Free => {
+                    if !self.remove_boundary(k) {
+                        return false;
+                    }
+                }
+            }
+        }
+        let t = tasks.get(task);
+        if !(self.insert_boundary(t.release) && self.insert_boundary(t.deadline)) {
             return false;
         }
-        for j in old_a..old_b {
-            if !(new_a..new_b).contains(&j) {
-                let ov = &mut self.subintervals[j].overlapping;
-                if let Ok(pos) = ov.binary_search(&task) {
-                    ov.remove(pos);
-                }
+        let range = covering_range(&self.boundaries, t.release, t.deadline);
+        for sub in &mut self.subintervals[range.clone()] {
+            let ov = &mut sub.overlapping;
+            if let Err(pos) = ov.binary_search(&task) {
+                ov.reserve_exact(1);
+                ov.insert(pos, task);
             }
         }
-        for j in new_a..new_b {
-            if !(old_a..old_b).contains(&j) {
-                let ov = &mut self.subintervals[j].overlapping;
-                if let Err(pos) = ov.binary_search(&task) {
-                    ov.insert(pos, task);
-                }
-            }
-        }
-        self.spans[task] = (new_a, new_b);
+        self.spans[task] = (range.start, range.end);
         true
     }
 
@@ -351,6 +370,9 @@ impl Timeline {
             // The arriving task has the largest id, so it always lands at
             // the tail of the id-ascending overlap lists.
             debug_assert!(sub.overlapping.last().is_none_or(|&last| last < task));
+            // Grow by exactly one: a doubling would leave spare capacity
+            // in every list a long event stream touches.
+            sub.overlapping.reserve_exact(1);
             sub.overlapping.push(task);
         }
         self.spans.push((a, b));
@@ -358,14 +380,15 @@ impl Timeline {
     }
 
     /// Splice boundary value `x` into the decomposition. Returns `false`
-    /// when `x` is approx- but not bitwise-equal to an existing boundary,
-    /// i.e. when only a full rebuild reproduces [`Timeline::build`].
+    /// when `x` is approx- but not bitwise-equal to an existing boundary
+    /// (including a zero of the other sign), i.e. when only a full
+    /// rebuild reproduces [`Timeline::build`].
     fn insert_boundary(&mut self, x: f64) -> bool {
         let idx = match self
             .boundaries
             .binary_search_by(|p| p.partial_cmp(&x).expect("boundaries are finite"))
         {
-            Ok(_) => return true,
+            Ok(k) => return self.boundaries[k].to_bits() == x.to_bits(),
             Err(idx) => idx,
         };
         let near = |k: usize| esched_types::time::approx_eq(self.boundaries[k], x);
@@ -420,7 +443,49 @@ impl Timeline {
                 }
             }
         }
-        for (index, sub) in self.subintervals.iter_mut().enumerate() {
+        for (index, sub) in self.subintervals.iter_mut().enumerate().skip(idx) {
+            sub.index = index;
+        }
+        true
+    }
+
+    /// Remove boundary `k`, at which no task's window starts or ends any
+    /// more: its two subintervals merge into one (a first or last
+    /// boundary drops the uncovered edge subinterval instead) and every
+    /// span index above `k` shifts down by one. Returns `false` when the
+    /// two neighbors of `k` are approx-equal to each other — the dedup
+    /// would then drop the upper one as well — or when fewer than two
+    /// boundaries would remain; only a full rebuild is exact there.
+    fn remove_boundary(&mut self, k: usize) -> bool {
+        let last = self.boundaries.len() - 1;
+        if last < 2
+            || (0 < k
+                && k < last
+                && esched_types::time::approx_eq(self.boundaries[k - 1], self.boundaries[k + 1]))
+        {
+            return false;
+        }
+        self.boundaries.remove(k);
+        if k == 0 || k == last {
+            let gap = self.subintervals.remove(k.min(last - 1));
+            debug_assert!(gap.overlapping.is_empty(), "edge boundary still owned");
+        } else {
+            // No window starts or ends at `k`, so both halves hold the
+            // same tasks: keep the left list, widen it to the right end.
+            let right = self.subintervals.remove(k);
+            let left = &mut self.subintervals[k - 1];
+            debug_assert_eq!(left.overlapping, right.overlapping);
+            left.interval = Interval::new(left.interval.start, right.interval.end);
+        }
+        for (a, b) in self.spans.iter_mut() {
+            if *a > k {
+                *a -= 1;
+            }
+            if *b > k {
+                *b -= 1;
+            }
+        }
+        for (index, sub) in self.subintervals.iter_mut().enumerate().skip(k) {
             sub.index = index;
         }
         true
@@ -520,10 +585,48 @@ impl Timeline {
     }
 }
 
+/// How the event points of the tasks other than a shifted one anchor a
+/// boundary value it vacated.
+enum Anchor {
+    /// Some point holds the value bitwise: the boundary stays.
+    Exact,
+    /// Some point is within tolerance but none holds the exact bits: the
+    /// full build would keep a different representative.
+    Near,
+    /// No point is within tolerance: the boundary goes.
+    Free,
+}
+
+fn anchor(tasks: &TaskSet, skip: TaskId, v: f64) -> Anchor {
+    let (mut exact, mut near) = (false, false);
+    for (id, t) in tasks.iter() {
+        if id == skip {
+            continue;
+        }
+        for p in [t.release, t.deadline] {
+            let same_bits = p.to_bits() == v.to_bits();
+            if p == v && !same_bits {
+                // A zero of the other sign: which one the build keeps
+                // depends on the order of the points.
+                return Anchor::Near;
+            }
+            exact |= same_bits;
+            near |= esched_types::time::approx_eq(p, v);
+        }
+    }
+    if exact {
+        Anchor::Exact
+    } else if near {
+        Anchor::Near
+    } else {
+        Anchor::Free
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esched_types::task::TaskSet;
+    use esched_types::task::{Task, TaskSet};
 
     fn vd_example() -> TaskSet {
         TaskSet::from_triples(&[
@@ -678,7 +781,7 @@ mod tests {
             let victim = rng.gen_range_usize(0, n);
             // Shift the victim's window onto two other boundary points so
             // the incremental path is exercised (it still may fall back
-            // when the victim's old endpoints lose their anchor).
+            // when a nudged endpoint lands within tolerance of one).
             let pts = tl.boundaries().to_vec();
             let a = rng.gen_range_usize(0, pts.len() - 1);
             let b = rng.gen_range_usize(a + 1, pts.len());
@@ -752,19 +855,194 @@ mod tests {
 
     #[test]
     fn rebuild_shifted_near_collapsed_window_falls_back() {
-        // A valid window so narrow that both endpoints locate to the same
-        // boundary index (a == b): the guard must reject the degenerate
-        // empty span and rebuild.
-        let ts = TaskSet::from_triples(&[(0.0, 30.0, 5.0), (5.0, 25.0, 3.0), (2.0, 20.0, 1.0)]);
-        let mut tl = Timeline::build(&ts);
-        let mut triples: Vec<(f64, f64, f64)> = ts
-            .iter()
-            .map(|(_, t)| (t.release, t.deadline, t.wcec))
-            .collect();
-        triples[2] = (20.0 - 2e-6, 20.0 + 2e-6, 1e-7);
-        let shifted = TaskSet::from_triples(&triples);
-        tl.rebuild_shifted(&shifted, 2);
-        assert_eq!(tl, Timeline::build(&shifted));
+        // A valid window so narrow that both endpoints lie within
+        // tolerance of boundary 20, which the victim vacates. While τ1
+        // still holds 20, neither endpoint can be spliced in and the patch
+        // falls back; when the victim was 20's only owner, 20 goes and
+        // both endpoints become boundaries of their own.
+        for (tau1_deadline, half_width, patched) in [(20.0, 1.5e-6, false), (25.0, 2e-6, true)] {
+            let ts = TaskSet::from_triples(&[
+                (0.0, 30.0, 5.0),
+                (5.0, tau1_deadline, 3.0),
+                (2.0, 20.0, 1.0),
+            ]);
+            let mut tl = Timeline::build(&ts);
+            let mut triples: Vec<(f64, f64, f64)> = ts
+                .iter()
+                .map(|(_, t)| (t.release, t.deadline, t.wcec))
+                .collect();
+            triples[2] = (20.0 - half_width, 20.0 + half_width, 1e-7);
+            let shifted = TaskSet::from_triples(&triples);
+            assert_eq!(tl.rebuild_shifted(&shifted, 2), patched);
+            assert_eq!(tl, Timeline::build(&shifted));
+        }
+    }
+
+    /// `Timeline::build` equality plus boundary bits, so a representative
+    /// that differs only in the sign of a zero is caught too.
+    fn assert_matches_build(tl: &Timeline, tasks: &TaskSet, context: &str) {
+        let want = Timeline::build(tasks);
+        assert_eq!(*tl, want, "{context}");
+        let bits = |t: &Timeline| {
+            t.boundaries()
+                .iter()
+                .map(|b| b.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(tl), bits(&want), "{context}: boundary bits");
+    }
+
+    /// One random window move for `victim`, drawn from the shapes the
+    /// online engine sees and the edge cases of the patch.
+    fn random_shift(
+        rng: &mut esched_obs::ChaCha8,
+        ts: &TaskSet,
+        victim: usize,
+    ) -> (usize, f64, f64) {
+        let pts = ts.event_points();
+        let t = ts.get(victim);
+        let (r, d) = (t.release, t.deadline);
+        let tol_nudge = |x: f64| 3e-8 * 1.0_f64.max(x.abs());
+        match rng.gen_range_usize(0, 7) {
+            // The online workload's ±0.25 slide.
+            0 => {
+                let s = if rng.gen_bool(0.5) { 0.25 } else { -0.25 };
+                (victim, r + s, d + s)
+            }
+            // Both endpoints snapped onto existing boundaries.
+            1 => {
+                let a = rng.gen_range_usize(0, pts.len() - 1);
+                let b = rng.gen_range_usize(a + 1, pts.len());
+                (victim, pts[a], pts[b])
+            }
+            // A sub-tolerance nudge: of the victim's own endpoint, or onto
+            // another boundary approx- but not bitwise.
+            2 => {
+                if rng.gen_bool(0.5) {
+                    (victim, r + tol_nudge(r), d)
+                } else {
+                    let k = rng.gen_range_usize(0, pts.len() - 1);
+                    let lo = pts[k] - tol_nudge(pts[k]);
+                    (victim, lo, lo.max(d) + 1.0)
+                }
+            }
+            // The owner of the first or last boundary slides: the
+            // horizon shrinks or grows.
+            3 => {
+                let first = rng.gen_bool(0.5);
+                let owner = (0..ts.len())
+                    .find(|&i| {
+                        let t = ts.get(i);
+                        if first {
+                            t.release == pts[0]
+                        } else {
+                            t.deadline == pts[pts.len() - 1]
+                        }
+                    })
+                    .expect("some task owns each edge boundary");
+                let t = ts.get(owner);
+                let s = rng.gen_range_f64(-3.0, 3.0);
+                (owner, t.release + s, t.deadline + s)
+            }
+            // New endpoints bitwise on a boundary the same event vacates.
+            4 => {
+                let w = rng.gen_range_f64(0.5, 5.0);
+                if rng.gen_bool(0.5) {
+                    (victim, d, d + w)
+                } else {
+                    (victim, r - w, r)
+                }
+            }
+            // Off-grid move anywhere.
+            5 => {
+                let lo = rng.gen_range_f64(pts[0] - 2.0, pts[pts.len() - 1] + 2.0);
+                (victim, lo, lo + rng.gen_range_f64(0.3, 10.0))
+            }
+            // Stretch one end, keep the other.
+            _ => (victim, r, d + rng.gen_range_f64(-0.5, 3.0).max(r - d + 0.1)),
+        }
+    }
+
+    #[test]
+    fn rebuild_shifted_matches_full_rebuild_over_random_shift_sequences() {
+        let mut rng = esched_obs::ChaCha8::seed_from_u64(0x5b1f_7ed5);
+        let (mut attempts, mut patched) = (0usize, 0usize);
+        for case in 0..150 {
+            let n = 1 + (case % 40);
+            // Every other case lives on negative times.
+            let offset = if case % 2 == 0 { 0.0 } else { -60.0 };
+            let mut triples: Vec<(f64, f64, f64)> = random_tasks(&mut rng, n)
+                .iter()
+                .map(|(_, t)| (t.release + offset, t.deadline + offset, t.wcec))
+                .collect();
+            let mut ts = TaskSet::from_triples(&triples);
+            let mut tl = Timeline::build(&ts);
+            for step in 0..25 {
+                let victim = rng.gen_range_usize(0, n);
+                let (victim, r, d) = random_shift(&mut rng, &ts, victim);
+                if Task::new(r, d, 1.0).is_err() {
+                    continue;
+                }
+                triples[victim].0 = r;
+                triples[victim].1 = d;
+                ts = TaskSet::from_triples(&triples);
+                attempts += 1;
+                patched += usize::from(tl.rebuild_shifted(&ts, victim));
+                assert_matches_build(&tl, &ts, &format!("case {case} step {step}"));
+            }
+        }
+        // Most moves clear every tolerance check: the patch path must be
+        // the one that ran, not the fallback.
+        assert!(
+            patched * 4 > attempts * 3,
+            "only {patched} of {attempts} shifts patched in place"
+        );
+    }
+
+    #[test]
+    fn rebuild_shifted_patches_an_off_grid_interior_slide() {
+        // τ3 = (6, 14) alone owns both its endpoints; a ±0.25 slide
+        // vacates both and lands between boundaries.
+        for s in [0.25, -0.25] {
+            let ts = vd_example();
+            let mut tl = Timeline::build(&ts);
+            let mut triples: Vec<(f64, f64, f64)> = ts
+                .iter()
+                .map(|(_, t)| (t.release, t.deadline, t.wcec))
+                .collect();
+            triples[3] = (6.0 + s, 14.0 + s, 4.0);
+            let shifted = TaskSet::from_triples(&triples);
+            assert!(tl.rebuild_shifted(&shifted, 3), "slide {s} fell back");
+            assert_matches_build(&tl, &shifted, &format!("slide {s}"));
+            assert!(!tl.boundaries().contains(&6.0) && !tl.boundaries().contains(&14.0));
+        }
+    }
+
+    #[test]
+    fn rebuild_shifted_falls_back_on_a_zero_of_the_other_sign() {
+        let shift = |triples: &[(f64, f64, f64)], victim: usize, window: (f64, f64)| {
+            let ts = TaskSet::from_triples(triples);
+            let mut tl = Timeline::build(&ts);
+            let mut moved = triples.to_vec();
+            (moved[victim].0, moved[victim].1) = window;
+            let shifted = TaskSet::from_triples(&moved);
+            assert!(!tl.rebuild_shifted(&shifted, victim));
+            assert_matches_build(&tl, &shifted, "signed zero");
+            tl.boundaries()[0].to_bits()
+        };
+        // τ0's +0.0 is the representative; τ2 still holds +0.0 bitwise,
+        // but once τ0 leaves, τ1's -0.0 comes first in the build's stable
+        // order and becomes the representative.
+        let vacated = shift(
+            &[(0.0, 10.0, 1.0), (-0.0, 5.0, 1.0), (0.0, 8.0, 1.0)],
+            0,
+            (1.0, 10.0),
+        );
+        assert_eq!(vacated, (-0.0_f64).to_bits());
+        // τ0 moves onto -0.0 while τ1's +0.0 is the representative: τ0's
+        // point sorts first, so the build keeps -0.0.
+        let landed = shift(&[(1.0, 10.0, 1.0), (0.0, 5.0, 1.0)], 0, (-0.0, 10.0));
+        assert_eq!(landed, (-0.0_f64).to_bits());
     }
 
     #[test]
@@ -839,7 +1117,8 @@ mod tests {
     fn rebuild_shifted_off_grid_falls_back_to_full_rebuild() {
         let ts = vd_example();
         let mut tl = Timeline::build(&ts);
-        // Move τ3 to an off-boundary window: the decomposition changes.
+        // Move τ3, the only owner of 6 and 14, to an off-boundary window:
+        // the decomposition changes at all four points.
         let mut triples: Vec<(f64, f64, f64)> = ts
             .iter()
             .map(|(_, t)| (t.release, t.deadline, t.wcec))
