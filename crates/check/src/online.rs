@@ -179,9 +179,10 @@ fn valid_window(release: f64, deadline: f64) -> bool {
 
 fn gen_arrival(rng: &mut ChaCha8, mirror: &[Task]) -> OnlineEvent {
     let grid = event_grid(mirror);
+    let start = grid.first().copied().unwrap_or(0.0);
     let horizon = grid.last().copied().unwrap_or(10.0);
     for _ in 0..32 {
-        let (release, deadline) = match rng.gen_range_usize(0, 8) {
+        let (release, deadline) = match rng.gen_range_usize(0, 10) {
             // Boundary-snapped, exactly or within the dedup tolerance:
             // the region where the in-place patch vs. full-rebuild
             // decision lives.
@@ -194,6 +195,28 @@ fn gen_arrival(rng: &mut ChaCha8, mirror: &[Task]) -> OnlineEvent {
             5 => {
                 let r = horizon + rng.gen_range_f64(0.1, 5.0);
                 (r, r + rng.gen_range_f64(0.5, 8.0))
+            }
+            // Before the current horizon start, ending on it or short of
+            // it: prepends subintervals.
+            8 => {
+                let d = if rng.gen_bool(0.5) {
+                    start
+                } else {
+                    start - rng.gen_range_f64(0.1, 3.0)
+                };
+                (d - rng.gen_range_f64(0.5, 8.0), d)
+            }
+            // Over the whole horizon, exactly or beyond both ends: joins
+            // every column at once.
+            9 => {
+                if rng.gen_bool(0.5) {
+                    (start, horizon)
+                } else {
+                    (
+                        start - rng.gen_range_f64(0.1, 2.0),
+                        horizon + rng.gen_range_f64(0.1, 2.0),
+                    )
+                }
             }
             // Off-grid: forces interior splits.
             _ => {
@@ -234,7 +257,7 @@ fn gen_shift(rng: &mut ChaCha8, mirror: &[Task]) -> OnlineEvent {
     let t = mirror[task];
     let grid = event_grid(mirror);
     for _ in 0..32 {
-        let (task, release, deadline) = match rng.gen_range_usize(0, 6) {
+        let (task, release, deadline) = match rng.gen_range_usize(0, 7) {
             // Snap endpoints (jittered) back onto the grid: the vacated
             // old boundary may still be referenced by another task.
             0 | 1 if grid.len() >= 2 => {
@@ -270,6 +293,17 @@ fn gen_shift(rng: &mut ChaCha8, mirror: &[Task]) -> OnlineEvent {
                     (task, t.deadline, t.deadline + w)
                 } else {
                     (task, t.release - w, t.release)
+                }
+            }
+            // Jump to a window disjoint from the old one, after or
+            // before it: vacates and claims columns far apart.
+            5 => {
+                let len = t.deadline - t.release;
+                let gap = rng.gen_range_f64(0.0, 5.0);
+                if rng.gen_bool(0.5) {
+                    (task, t.deadline + gap, t.deadline + gap + len)
+                } else {
+                    (task, t.release - gap - len, t.release - gap)
                 }
             }
             // Stretch or near-collapse around the release.

@@ -40,7 +40,7 @@ use crate::ideal::IdealSolution;
 use crate::pool::{Pool, ScratchPool};
 use crate::scratch::Scratch;
 use esched_obs::{event, metric_counter, span, Level};
-use esched_subinterval::Timeline;
+use esched_subinterval::{Subinterval, Timeline};
 use esched_types::time::{Interval, EPS};
 use esched_types::{TaskId, TaskSet};
 
@@ -1038,9 +1038,8 @@ pub fn allocate(req: AllocRequest<'_>) -> AvailMatrix {
 /// [`allocate`]'s [`DerStrategy::Waterfill`] does: light columns get
 /// `Δ_j`, heavy columns their DER water-fill. Every cell is overwritten,
 /// so whatever `avail` held before does not matter — the online repair's
-/// fallback fills the matrix it already shaped instead of shaping a
-/// second one. The pass fans out across `pool` under the same rule as
-/// `allocate`.
+/// fallback refills the matrix it has just spliced to its new shape. The
+/// pass fans out across `pool` under the same rule as `allocate`.
 fn fill_der(
     timeline: &Timeline,
     cores: usize,
@@ -1214,15 +1213,17 @@ pub fn allocate_der_no_redistribution(
     )
 }
 
-/// Outcome counters of one [`reallocate_der_patched`] call.
+/// Outcome counters of one [`repair_der_in_place`] (or
+/// [`reallocate_der_patched`]) call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DerRepairStats {
     /// Columns whose allocation had to be recomputed.
     pub dirty_columns: usize,
     /// Total columns of the patched timeline.
     pub total_columns: usize,
-    /// Whether the dirty fraction exceeded the threshold and every column
-    /// was recomputed by [`allocate`]'s fill routine instead.
+    /// Whether the dirty fraction exceeded the threshold, so every column
+    /// of the repaired matrix was refilled in place by [`allocate`]'s fill
+    /// routine instead of only the dirty ones.
     pub fell_back: bool,
 }
 
@@ -1278,64 +1279,137 @@ pub fn repair_der_columns(
     metric_counter!("esched.core.der_repair_columns").add(repaired);
 }
 
-/// Build the DER allocation for a *patched* timeline by copying every
-/// column whose inputs are unchanged from `old` and recomputing the rest.
+/// The columns an online event can have changed, as `(lo, hi)`: the old
+/// columns `lo..old_n - hi` of `avail` correspond to the new columns
+/// `lo..new_n - hi` of `timeline`, and the `lo` columns before and the
+/// `hi` columns after them are the same columns in both.
 ///
-/// A column of the new timeline is **clean** when some column of `old`
-/// has bitwise-identical time bounds and overlap ids, and none of
-/// `dirty_tasks` (tasks whose ideal-schedule DER changed: arrived,
-/// completed early, or had their window shifted) overlaps it. Clean
-/// columns are bulk-copied; everything else is re-waterfilled. Because
-/// the per-column waterfill is a pure function of its inputs, the result
-/// is bit-identical to [`allocate`] from scratch — regardless of *how*
-/// the timeline was patched (including a full rebuild fallback).
+/// The region starts as everything between the longest bitwise-equal
+/// runs of column bounds at either end, then widens to cover the old and
+/// new spans of every touched task: `dirty_tasks` plus every arrival (an
+/// id at or above `avail`'s row count). A column outside it keeps its
+/// bounds and every member's window, so its overlap ids — and, since no
+/// touched task is among them, its allocation — are unchanged.
+fn changed_region(
+    avail: &AvailMatrix,
+    timeline: &Timeline,
+    n_tasks: usize,
+    dirty_tasks: &[TaskId],
+) -> (usize, usize) {
+    let subs = timeline.subintervals();
+    let (old_n, new_n) = (avail.column_count(), subs.len());
+    let same = |b: &(f64, f64), s: &Subinterval| {
+        b.0.to_bits() == s.interval.start.to_bits() && b.1.to_bits() == s.interval.end.to_bits()
+    };
+    let lo = avail
+        .col_bounds
+        .iter()
+        .zip(subs)
+        .take_while(|(b, s)| same(b, s))
+        .count();
+    let hi = avail.col_bounds[lo..]
+        .iter()
+        .rev()
+        .zip(subs[lo..].iter().rev())
+        .take_while(|(b, s)| same(b, s))
+        .count();
+    // When every bound matches, the region is empty on both sides and has
+    // no position of its own: the spans alone place it.
+    let mut region = (lo + hi < old_n.max(new_n)).then_some((lo, hi));
+    let mut cover = |(a, b): (usize, usize), n: usize| {
+        if a < b {
+            let (lo, hi) = region.unwrap_or((a, n - b));
+            region = Some((lo.min(a), hi.min(n - b)));
+        }
+    };
+    let old_rows = avail.task_count();
+    for t in dirty_tasks.iter().copied().chain(old_rows..n_tasks) {
+        if let Some(&span) = avail.spans.get(t) {
+            cover(span, old_n);
+        }
+        let span = timeline.span(t);
+        cover((span.start, span.end), new_n);
+    }
+    region.unwrap_or((old_n, 0))
+}
+
+/// Move `v[from..]` so it starts at `to`, growing or shrinking `v`; the
+/// cells in between are left for the caller to overwrite. Growth goes
+/// through `resize`, so capacity is reserved amortised.
+fn move_tail<T: Copy + Default>(v: &mut Vec<T>, from: usize, to: usize) {
+    let len = v.len();
+    if to > from {
+        v.resize(len + (to - from), T::default());
+    }
+    v.copy_within(from..len, to);
+    v.truncate(len + to - from);
+}
+
+/// Repair `avail`, the DER allocation of the timeline before an online
+/// event, into the DER allocation of the patched `timeline` — in place,
+/// touching only the columns the event can have changed.
 ///
-/// When more than `fallback_fraction` of the columns are dirty, copying
-/// the clean ones stops paying for itself: the matrix shaped for the
-/// patch is instead filled in full by `allocate`'s own fill routine (same
-/// result, one fused pass), which fans out across `pool` when one is
-/// attached and the instance clears `parallel_threshold` subintervals.
-/// Light columns only depend on membership and `Δ_j`, so a dirty task
-/// alone never dirties a light column.
+/// 1. The changed region is found from the column bounds at both ends
+///    and the old and new spans of the touched tasks (`dirty_tasks`,
+///    whose ideal-schedule DER changed, plus every arrival). Columns
+///    outside it are left alone.
+/// 2. A region column is **clean** when some old region column has
+///    bitwise-identical time bounds and overlap ids, and, if it is
+///    heavy, none of `dirty_tasks` overlaps it. Light columns depend
+///    only on membership and `Δ_j`, so a dirty task alone never dirties
+///    one. The rest are dirty.
+/// 3. The region is spliced to its new shape: the clean columns are
+///    saved, the slab's suffix moves by one `copy_within`, and the column
+///    offsets and bounds are re-spliced.
+/// 4. The saved clean columns are copied back and the dirty ones
+///    re-waterfilled. When more than `fallback_fraction` of all columns
+///    are dirty, every column is instead refilled by [`allocate`]'s fill
+///    routine, fanned across `pool` when one is attached and the instance
+///    clears `parallel_threshold` subintervals.
+///
+/// Because the per-column waterfill is a pure function of its inputs,
+/// the result is bit-identical to [`allocate`] from scratch, however
+/// the timeline was patched (a full rebuild included).
 #[allow(clippy::too_many_arguments)] // mirrors the allocate inputs plus the patch inputs
-pub fn reallocate_der_patched(
+pub fn repair_der_in_place(
     tasks: &TaskSet,
     timeline: &Timeline,
     cores: usize,
     ideal: &IdealSolution,
-    old: &AvailMatrix,
+    avail: &mut AvailMatrix,
     dirty_tasks: &[TaskId],
     fallback_fraction: f64,
     pool: Option<&Pool>,
     parallel_threshold: usize,
     scratch: &mut Scratch,
-) -> (AvailMatrix, DerRepairStats) {
+) -> DerRepairStats {
     let _span = span!(
         Level::Debug,
-        "reallocate_der_patched",
+        "repair_der_in_place",
         n_tasks = tasks.len(),
         n_subintervals = timeline.len(),
     );
-    let mut avail = AvailMatrix::zeros(timeline, tasks.len());
-    // Match old and new columns with a two-pointer walk over the
+    let subs = timeline.subintervals();
+    let (old_n, new_n) = (avail.column_count(), subs.len());
+    let (lo, hi) = changed_region(avail, timeline, tasks.len(), dirty_tasks);
+    let (old_end, new_end) = (old_n - hi, new_n - hi);
+
+    // Match old and new region columns with a two-pointer walk over the
     // time-sorted column bounds; lexicographic order on (start, end)
-    // keeps the walk linear through splits and insertions. Clean
-    // `(old, new)` pairs are copied only once the walk has ruled out the
-    // fallback.
+    // keeps the walk linear through splits and insertions.
     let mut dirty: Vec<usize> = Vec::new();
     let mut clean: Vec<(usize, usize)> = Vec::new();
     let touches_dirty_task =
         |ids: &[TaskId]| dirty_tasks.iter().any(|t| ids.binary_search(t).is_ok());
-    let (mut i, mut j) = (0usize, 0usize);
-    let (old_n, new_n) = (old.column_count(), avail.column_count());
-    while i < old_n && j < new_n {
-        let ob = old.col_bounds[i];
-        let nb = avail.col_bounds[j];
+    let (mut i, mut j) = (lo, lo);
+    while i < old_end && j < new_end {
+        let ob = avail.col_bounds[i];
+        let sub = &subs[j];
+        let nb = (sub.interval.start, sub.interval.end);
         if ob == nb {
-            let heavy = avail.col_ids(j).len() > cores;
-            if old.col_ids(i) == avail.col_ids(j)
-                && !(heavy && touches_dirty_task(avail.col_ids(j)))
-            {
+            let ids = sub.overlapping.as_slice();
+            let heavy = ids.len() > cores;
+            if avail.col_ids(i) == ids && !(heavy && touches_dirty_task(ids)) {
                 clean.push((i, j));
             } else {
                 dirty.push(j);
@@ -1349,41 +1423,127 @@ pub fn reallocate_der_patched(
             j += 1;
         }
     }
-    dirty.extend(j..new_n);
+    dirty.extend(j..new_end);
     let stats = DerRepairStats {
         dirty_columns: dirty.len(),
         total_columns: new_n,
         fell_back: dirty.len() as f64 > fallback_fraction * new_n as f64,
     };
+
+    // Save the clean region columns before the splice overwrites them.
+    let mut saved = std::mem::take(&mut scratch.saved_cells);
+    saved.clear();
+    if !stats.fell_back {
+        for &(i, _) in &clean {
+            saved.extend_from_slice(avail.col(i));
+        }
+    }
+
+    // Splice the region to its new shape.
+    let old_cell_end = avail.col_offsets[old_end];
+    let mut new_cell_end = avail.col_offsets[lo];
+    avail.col_offsets.splice(
+        lo + 1..old_end + 1,
+        subs[lo..new_end].iter().map(|s| {
+            new_cell_end += s.overlapping.len();
+            new_cell_end
+        }),
+    );
+    for off in &mut avail.col_offsets[new_end + 1..] {
+        *off = *off - old_cell_end + new_cell_end;
+    }
+    move_tail(&mut avail.data, old_cell_end, new_cell_end);
+    move_tail(&mut avail.ids, old_cell_end, new_cell_end);
+    for (j, sub) in subs.iter().enumerate().take(new_end).skip(lo) {
+        let cells = avail.col_offsets[j]..avail.col_offsets[j + 1];
+        avail.ids[cells].copy_from_slice(&sub.overlapping);
+    }
+    avail.col_bounds.splice(
+        lo..old_end,
+        subs[lo..new_end]
+            .iter()
+            .map(|s| (s.interval.start, s.interval.end)),
+    );
+    avail.spans.clear();
+    avail.spans.extend((0..tasks.len()).map(|t| {
+        let span = timeline.span(t);
+        (span.start, span.end)
+    }));
+    debug_assert!(
+        (0..lo)
+            .chain(new_end..new_n)
+            .all(|j| avail.col_ids(j) == subs[j].overlapping.as_slice()),
+        "a column outside the changed region {lo}..{new_end} changed its overlap ids"
+    );
+
+    // Fill the region.
     if stats.fell_back {
         fill_der(
             timeline,
             cores,
             ideal,
-            &mut avail,
+            avail,
             scratch,
             pool,
             parallel_threshold,
         );
-        return (avail, stats);
+    } else {
+        let mut from = 0;
+        for &(_, j) in &clean {
+            let col = avail.col_mut(j);
+            col.copy_from_slice(&saved[from..from + col.len()]);
+            from += col.len();
+        }
+        repair_der_columns(
+            timeline,
+            cores,
+            ideal,
+            avail,
+            dirty.iter().copied(),
+            scratch,
+        );
     }
-    for (i, j) in clean {
-        let src = old.col_offsets[i]..old.col_offsets[i + 1];
-        avail.col_mut(j).copy_from_slice(&old.data[src]);
-    }
-    repair_der_columns(
+    scratch.saved_cells = saved;
+    event!(
+        Level::Debug,
+        "der allocation repaired",
+        region = (new_end - lo) as u64,
+        dirty = stats.dirty_columns as u64,
+        total = stats.total_columns as u64,
+    );
+    stats
+}
+
+/// Build the DER allocation for a *patched* timeline from `old`, the
+/// allocation before the event: a clone of `old` repaired by
+/// [`repair_der_in_place`], which documents the clean/dirty rule, the
+/// fallback, and the bit-identity with [`allocate`]. Callers that keep
+/// the matrix across events should repair it in place instead.
+#[allow(clippy::too_many_arguments)] // mirrors the allocate inputs plus the patch inputs
+pub fn reallocate_der_patched(
+    tasks: &TaskSet,
+    timeline: &Timeline,
+    cores: usize,
+    ideal: &IdealSolution,
+    old: &AvailMatrix,
+    dirty_tasks: &[TaskId],
+    fallback_fraction: f64,
+    pool: Option<&Pool>,
+    parallel_threshold: usize,
+    scratch: &mut Scratch,
+) -> (AvailMatrix, DerRepairStats) {
+    let mut avail = old.clone();
+    let stats = repair_der_in_place(
+        tasks,
         timeline,
         cores,
         ideal,
         &mut avail,
-        dirty.iter().copied(),
+        dirty_tasks,
+        fallback_fraction,
+        pool,
+        parallel_threshold,
         scratch,
-    );
-    event!(
-        Level::Debug,
-        "der allocation patched",
-        dirty = stats.dirty_columns as u64,
-        total = stats.total_columns as u64,
     );
     (avail, stats)
 }
@@ -2035,5 +2195,230 @@ mod tests {
         let mut repaired = AvailMatrix::zeros(&tl, ts.len());
         repair_der_columns(&tl, 4, &ideal, &mut repaired, 0..tl.len(), &mut scratch);
         assert_eq!(repaired, full);
+    }
+
+    /// The rule [`repair_der_in_place`] must reproduce, walked over every
+    /// column instead of the changed region: a two-pointer match of the
+    /// old matrix's columns against the new timeline's.
+    fn full_width_stats(
+        old: &AvailMatrix,
+        tl: &Timeline,
+        cores: usize,
+        dirty_tasks: &[TaskId],
+        fallback_fraction: f64,
+    ) -> DerRepairStats {
+        let subs = tl.subintervals();
+        let touches = |ids: &[TaskId]| dirty_tasks.iter().any(|t| ids.binary_search(t).is_ok());
+        let (mut i, mut j, mut dirty) = (0, 0, 0);
+        while i < old.column_count() && j < subs.len() {
+            let ob = old.col_bounds[i];
+            let nb = (subs[j].interval.start, subs[j].interval.end);
+            if ob == nb {
+                let ids = subs[j].overlapping.as_slice();
+                if old.col_ids(i) != ids || (ids.len() > cores && touches(ids)) {
+                    dirty += 1;
+                }
+                i += 1;
+                j += 1;
+            } else if ob < nb {
+                i += 1;
+            } else {
+                dirty += 1;
+                j += 1;
+            }
+        }
+        dirty += subs.len() - j;
+        DerRepairStats {
+            dirty_columns: dirty,
+            total_columns: subs.len(),
+            fell_back: dirty as f64 > fallback_fraction * subs.len() as f64,
+        }
+    }
+
+    fn assert_bitwise_eq(got: &AvailMatrix, want: &AvailMatrix, ctx: &str) {
+        assert_eq!(got, want, "{ctx}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.data), bits(&want.data), "{ctx}: cell bits");
+        assert_eq!(
+            bits(&got.totals()),
+            bits(&want.totals()),
+            "{ctx}: total bits"
+        );
+        let bounds = |m: &AvailMatrix| {
+            m.col_bounds
+                .iter()
+                .map(|(a, b)| (a.to_bits(), b.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bounds(got), bounds(want), "{ctx}: column bound bits");
+    }
+
+    /// Chains of online events repaired in place must track [`allocate`]
+    /// from scratch bit for bit, with the repair statistics of the
+    /// full-width walk, whatever part of the slab the event touches.
+    #[test]
+    fn in_place_repair_tracks_scratch_over_event_chains() {
+        use esched_obs::ChaCha8;
+        let mut rng = ChaCha8::seed_from_u64(0x51ce_2b07);
+        let power = PolynomialPower::paper(3.0, 0.1);
+        let mut scratch = Scratch::new();
+        let pool = Pool::with_threads(2);
+        // (fallback fraction, pool, parallel threshold): the default, a
+        // forced fallback filled across two workers, and never falling back.
+        let configs: [(f64, Option<&Pool>, usize); 3] = [
+            (0.25, None, DEFAULT_PARALLEL_THRESHOLD),
+            (0.0, Some(&pool), 1),
+            (1.0, None, DEFAULT_PARALLEL_THRESHOLD),
+        ];
+        // Regions at the front, at the back, covering everything, empty;
+        // and timeline patches that fell back to a full rebuild.
+        let (mut front, mut back, mut all, mut empty, mut rebuilt) = (0, 0, 0, 0, 0);
+        let grid = |x: f64| (x * 4.0).round() / 4.0;
+        for chain in 0..40 {
+            let n = rng.gen_range_usize(6, 28);
+            let cores = rng.gen_range_usize(1, 5);
+            let mut triples: Vec<(f64, f64, f64)> = (0..n)
+                .map(|_| {
+                    let r = grid(rng.gen_range_f64(0.0, 20.0));
+                    let len = grid(rng.gen_range_f64(0.5, 10.0)).max(0.25);
+                    (r, r + len, rng.gen_range_f64(0.05, len))
+                })
+                .collect();
+            let mut ts = TaskSet::from_triples(&triples);
+            let mut tl = Timeline::build(&ts);
+            let mut ideal = ideal_schedule(&ts, &power);
+            let mut mats: Vec<AvailMatrix> = configs
+                .iter()
+                .map(|_| allocate(AllocRequest::new(&ts, &tl, cores, &ideal)))
+                .collect();
+            for step in 0..30 {
+                let ctx = format!("chain {chain} step {step} (m = {cores})");
+                let pts = tl.boundaries().to_vec();
+                let (first, last) = (pts[0], pts[pts.len() - 1]);
+                let v = rng.gen_range_usize(0, triples.len());
+                // `Some(dirty)` for an event on an existing task, `None`
+                // for an arrival; `shift` says the window moved.
+                let (dirty, shift): (Option<TaskId>, bool) = match rng.gen_range_usize(0, 10) {
+                    // ±0.25 slide.
+                    0 | 1 => {
+                        let d = if rng.gen_bool(0.5) { 0.25 } else { -0.25 };
+                        triples[v].0 += d;
+                        triples[v].1 += d;
+                        (Some(v), true)
+                    }
+                    // Slide the task owning the first or last event point.
+                    2 => {
+                        let owner = if rng.gen_bool(0.5) {
+                            triples.iter().position(|t| t.0 == first)
+                        } else {
+                            triples.iter().position(|t| t.1 == last)
+                        }
+                        .expect("some task owns each end of the horizon");
+                        let d = grid(rng.gen_range_f64(0.25, 3.0));
+                        let d = if rng.gen_bool(0.5) { d } else { -d };
+                        triples[owner].0 += d;
+                        triples[owner].1 += d;
+                        (Some(owner), true)
+                    }
+                    // Land an endpoint approx- but not bitwise on a
+                    // boundary: the timeline rebuilds in full.
+                    3 => {
+                        let a = rng.gen_range_usize(0, pts.len() - 1);
+                        let (r, d) = (pts[a] + 1e-9, pts[a] + grid(rng.gen_range_f64(0.5, 4.0)));
+                        triples[v] = (r, d, triples[v].2.min(0.9 * (d - r)));
+                        (Some(v), true)
+                    }
+                    // Early completion.
+                    4 | 5 => {
+                        triples[v].2 *= rng.gen_range_f64(0.1, 0.95);
+                        (Some(v), false)
+                    }
+                    // Arrival snapped onto two boundaries.
+                    6 => {
+                        let a = rng.gen_range_usize(0, pts.len() - 1);
+                        let b = rng.gen_range_usize(a + 1, pts.len());
+                        let wcec = rng.gen_range_f64(0.05, pts[b] - pts[a]);
+                        triples.push((pts[a], pts[b], wcec));
+                        (None, true)
+                    }
+                    // Arrival before or after the horizon, or over all of it.
+                    7 => {
+                        let (r, d) = match rng.gen_range_usize(0, 3) {
+                            0 => (first - 3.0, first - grid(rng.gen_range_f64(0.0, 2.0))),
+                            1 => (last + grid(rng.gen_range_f64(0.0, 2.0)), last + 3.0),
+                            _ => (first - 0.5, last + 0.5),
+                        };
+                        triples.push((r, d, rng.gen_range_f64(0.05, d - r)));
+                        (None, true)
+                    }
+                    // No event: nothing changes, nothing is touched.
+                    8 => (None, false),
+                    // A jump to a disjoint window.
+                    _ => {
+                        let len = triples[v].1 - triples[v].0;
+                        let r = grid(rng.gen_range_f64(first - 5.0, last + 5.0));
+                        triples[v].0 = r;
+                        triples[v].1 = r + len;
+                        (Some(v), true)
+                    }
+                };
+                let arrived = triples.len() > ts.len();
+                ts = TaskSet::from_triples(&triples);
+                if arrived {
+                    rebuilt += usize::from(!tl.rebuild_inserted(&ts, ts.len() - 1));
+                } else if let (Some(t), true) = (dirty, shift) {
+                    rebuilt += usize::from(!tl.rebuild_shifted(&ts, t));
+                }
+                ideal = ideal_schedule(&ts, &power);
+                let dirty: Vec<TaskId> = dirty.into_iter().collect();
+                let fresh =
+                    allocate(AllocRequest::new(&ts, &tl, cores, &ideal).with_scratch(&mut scratch));
+
+                let (old_n, new_n) = (mats[0].column_count(), tl.len());
+                let (lo, hi) = changed_region(&mats[0], &tl, ts.len(), &dirty);
+                if lo == old_n - hi && lo == new_n - hi {
+                    empty += 1;
+                } else {
+                    front += usize::from(lo == 0 && hi > 0);
+                    back += usize::from(lo > 0 && hi == 0);
+                    all += usize::from(lo == 0 && hi == 0);
+                }
+                if !shift && !arrived {
+                    // Same timeline: the region is exactly the task's span.
+                    let want = dirty.first().map_or((old_n, 0), |&t| {
+                        let span = tl.span(t);
+                        (span.start, new_n - span.end)
+                    });
+                    assert_eq!((lo, hi), want, "{ctx}: region of an unshaped event");
+                }
+                for (m, &(fraction, pool, threshold)) in mats.iter_mut().zip(&configs) {
+                    let want = full_width_stats(m, &tl, cores, &dirty, fraction);
+                    let stats = repair_der_in_place(
+                        &ts,
+                        &tl,
+                        cores,
+                        &ideal,
+                        m,
+                        &dirty,
+                        fraction,
+                        pool,
+                        threshold,
+                        &mut scratch,
+                    );
+                    let ctx = format!("{ctx}, fallback fraction {fraction}");
+                    assert_eq!(stats, want, "{ctx}: repair statistics");
+                    assert_bitwise_eq(m, &fresh, &ctx);
+                }
+            }
+        }
+        for (what, count) in [
+            ("front", front),
+            ("back", back),
+            ("whole-slab", all),
+            ("empty", empty),
+            ("timeline-rebuild", rebuilt),
+        ] {
+            assert!(count > 0, "no {what} case in the chains");
+        }
     }
 }

@@ -54,8 +54,8 @@ pub mod yds;
 
 pub use allocation::{
     allocate, allocate_even, allocate_work_proportional, reallocate_der_patched,
-    repair_der_columns, AllocRequest, AvailMatrix, DerRepairStats, DerStrategy,
-    DEFAULT_PARALLEL_THRESHOLD,
+    repair_der_columns, repair_der_in_place, AllocRequest, AvailMatrix, DerRepairStats,
+    DerStrategy, DEFAULT_PARALLEL_THRESHOLD,
 };
 #[allow(deprecated)] // the forwarders stay exported for downstream migration
 pub use allocation::{

@@ -46,6 +46,9 @@ pub struct Scratch {
     /// reads — one packed load per cell instead of straddling the ideal
     /// solution's separate interval and frequency arrays.
     pub packed: Vec<[f64; 3]>,
+    /// Clean columns of the online repair's changed region, saved while
+    /// the availability matrix is spliced to its new shape.
+    pub saved_cells: Vec<f64>,
     /// Per-subinterval packing items of Algorithm 1.
     pub items: Vec<PackItem>,
     /// Per-task scale factors `d_i / A_i` of the final schedule.

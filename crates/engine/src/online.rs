@@ -19,11 +19,15 @@
 //!   rebuild only when an endpoint is approx- but not bitwise-equal to a
 //!   surviving event point, where an in-place patch could diverge bitwise
 //!   from [`Timeline::build`];
-//! * the availability matrix is repaired column-locally by
-//!   [`reallocate_der_patched`]: only columns whose structure or whose
-//!   heavy-column inputs changed are recomputed, and when the dirty
-//!   fraction exceeds [`OnlineEngine::with_fallback_fraction`] every
-//!   column of the patched matrix is recomputed in one pass instead;
+//! * the availability matrix is kept across events and repaired in place
+//!   by [`repair_der_in_place`]: the event's changed region (the columns
+//!   between the runs of unchanged column bounds at both ends, widened to
+//!   the touched task's old and new spans) is spliced to its new shape,
+//!   and only the region's columns whose structure or heavy-column inputs
+//!   changed are recomputed; columns outside the region are neither read
+//!   nor written. When the dirty fraction exceeds
+//!   [`OnlineEngine::with_fallback_fraction`], every column of the
+//!   spliced matrix is refilled in one pass instead;
 //! * an early completion ([`OnlineEvent::Complete`]) reclaims the unused
 //!   `C_i` mass MORA-style: the task's execution requirement drops to the
 //!   work it actually performed, the water-fill repair hands the freed
@@ -48,7 +52,7 @@ use crate::exec::refine_pool;
 use crate::outcome::{DiscreteSummary, OptSummary, ScheduleOutcome, SimVerdict};
 use esched_core::{
     allocate, allocate_even, build_outcome_with, final_assignment, final_schedule_with,
-    ideal_schedule, optimal_energy_in, quantize_schedule, reallocate_der_patched, AllocRequest,
+    ideal_schedule, optimal_energy_in, quantize_schedule, repair_der_in_place, AllocRequest,
     AvailMatrix, DerRepairStats, IdealSolution, NecPoint, Pool, QuantizePolicy, Scratch,
     DEFAULT_PARALLEL_THRESHOLD,
 };
@@ -147,7 +151,7 @@ pub struct ReplanReport {
     /// no surviving point is near is removed in place and does not count.
     /// Always `false` for a completion, which moves no event point.
     pub timeline_rebuilt: bool,
-    /// Column-repair statistics from [`reallocate_der_patched`].
+    /// Column-repair statistics from [`repair_der_in_place`].
     pub der: DerRepairStats,
     /// Final analytic energy (`E^{F2}`) of the repaired plan.
     pub final_energy: f64,
@@ -437,12 +441,12 @@ impl OnlineEngine {
             Some(id) => &[id],
             None => &[],
         };
-        let (avail, der) = reallocate_der_patched(
+        let der = repair_der_in_place(
             &self.task_set,
             &self.timeline,
             self.cores,
             &self.ideal,
-            &self.avail,
+            &mut self.avail,
             dirty,
             self.fallback_fraction,
             self.intra_pool.as_ref(),
@@ -451,7 +455,6 @@ impl OnlineEngine {
                 .unwrap_or(DEFAULT_PARALLEL_THRESHOLD),
             &mut self.scratch,
         );
-        self.avail = avail;
         // Totals and the final assignment are O(nnz) and O(n); recomputing
         // them in full keeps the Neumaier summation order — and therefore
         // the bits — identical to the offline pipeline.
