@@ -1,17 +1,10 @@
 //! Deterministic benchmark harness behind the `benchjson` binary.
 //!
-//! Criterion's statistical machinery is great interactively but awkward
-//! for regression gating: sample counts adapt to noise, output lands in
-//! `target/criterion`, and nothing ties a run to a commit. This module
-//! runs a small curated subset of the bench suite with *fixed* iteration
-//! counts, records wall-time percentiles plus a metrics-registry delta
-//! per entry, and serializes everything into the stable `BENCH_*.json`
-//! schema that `benchjson --compare` diffs.
-//!
-//! The curated entries mirror `benches/micro_primitives.rs`,
-//! `benches/runtime_scaling.rs`, and `benches/solver_ablation.rs` — same
-//! fixtures, same seeds — so a regression flagged here reproduces under
-//! `cargo bench` for a closer look.
+//! This module runs a small curated suite with *fixed* iteration counts
+//! (adaptive sample counts would make runs incomparable), records
+//! wall-time percentiles plus a metrics-registry delta per entry, and
+//! serializes everything into the stable `BENCH_*.json` schema that
+//! `benchjson --compare` diffs.
 
 use crate::paper_tasks;
 use esched_core::{
@@ -85,10 +78,9 @@ pub struct BenchResult {
     pub metrics: metrics::Snapshot,
 }
 
-/// The curated suite: a fast-running subset of the criterion benches
-/// (micro-primitives, runtime scaling, solver ablation, online replan)
-/// with fixed seeds and iteration counts. A couple dozen entries, a few
-/// seconds total in release.
+/// The curated suite (micro-primitives, runtime scaling, solver
+/// ablation, online replan) with fixed seeds and iteration counts. A
+/// couple dozen entries, a few seconds total in release.
 pub fn curated_suite() -> Vec<CuratedBench> {
     let power = PolynomialPower::paper(3.0, 0.1);
     let mut suite: Vec<CuratedBench> = Vec::new();

@@ -37,8 +37,8 @@
 use std::ops::Range;
 
 use crate::ideal::IdealSolution;
-use crate::pool::{Pool, ScratchPool};
 use crate::scratch::Scratch;
+use crate::Pool;
 use esched_obs::{event, metric_counter, span, Level};
 use esched_subinterval::{Subinterval, Timeline};
 use esched_types::time::{Interval, EPS};
@@ -853,7 +853,7 @@ fn fill_columns_parallel(
         jobs.push((range, cut, slab));
         cut = end;
     }
-    let results = pool.batch_map(jobs, |scratch, (range, base, slab)| {
+    let results = pool.batch_map_with(Scratch::new, jobs, |scratch, (range, base, slab)| {
         let mut local = WaterfillStats::default();
         fill_columns(
             timeline,
@@ -901,12 +901,9 @@ pub enum DerStrategy {
     NoRedistribution,
 }
 
-/// One request to the unified DER allocation entry point, [`allocate`].
-///
-/// Replaces the former four-function surface (`allocate_der`,
-/// `allocate_der_with`, `allocate_der_reference`,
-/// `allocate_der_no_redistribution`): strategy, scratch reuse, and
-/// intra-instance parallelism are orthogonal knobs on one request.
+/// One request to the DER allocation entry point, [`allocate`]:
+/// strategy, scratch reuse, and intra-instance parallelism are
+/// orthogonal knobs on one request.
 ///
 /// ```
 /// # use esched_core::{allocate, AllocRequest, DerStrategy, ideal_schedule};
@@ -1162,57 +1159,6 @@ fn allocate_no_redistribution_impl(
     avail
 }
 
-/// Former entry point; the water-fill strategy with owned buffers.
-#[deprecated(note = "use `allocate(AllocRequest::new(tasks, timeline, cores, ideal))`")]
-pub fn allocate_der(
-    tasks: &TaskSet,
-    timeline: &Timeline,
-    cores: usize,
-    ideal: &IdealSolution,
-) -> AvailMatrix {
-    allocate(AllocRequest::new(tasks, timeline, cores, ideal))
-}
-
-/// Former entry point; the water-fill strategy reusing `scratch`.
-#[deprecated(
-    note = "use `allocate(AllocRequest::new(tasks, timeline, cores, ideal).with_scratch(scratch))`"
-)]
-pub fn allocate_der_with(
-    tasks: &TaskSet,
-    timeline: &Timeline,
-    cores: usize,
-    ideal: &IdealSolution,
-    scratch: &mut Scratch,
-) -> AvailMatrix {
-    allocate(AllocRequest::new(tasks, timeline, cores, ideal).with_scratch(scratch))
-}
-
-/// Former entry point; the round-based ground truth.
-#[deprecated(note = "use `allocate(AllocRequest::new(..).strategy(DerStrategy::Reference))`")]
-pub fn allocate_der_reference(
-    tasks: &TaskSet,
-    timeline: &Timeline,
-    cores: usize,
-    ideal: &IdealSolution,
-) -> AvailMatrix {
-    allocate(AllocRequest::new(tasks, timeline, cores, ideal).strategy(DerStrategy::Reference))
-}
-
-/// Former entry point; the no-redistribution ablation.
-#[deprecated(
-    note = "use `allocate(AllocRequest::new(..).strategy(DerStrategy::NoRedistribution))`"
-)]
-pub fn allocate_der_no_redistribution(
-    tasks: &TaskSet,
-    timeline: &Timeline,
-    cores: usize,
-    ideal: &IdealSolution,
-) -> AvailMatrix {
-    allocate(
-        AllocRequest::new(tasks, timeline, cores, ideal).strategy(DerStrategy::NoRedistribution),
-    )
-}
-
 /// Outcome counters of one [`repair_der_in_place`] (or
 /// [`reallocate_der_patched`]) call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1235,7 +1181,7 @@ pub struct DerRepairStats {
 /// reproduces the full allocator's output bit-for-bit.
 ///
 /// `avail` must be shaped by `timeline` (same CSR layout).
-pub fn repair_der_columns(
+fn repair_der_columns(
     timeline: &Timeline,
     cores: usize,
     ideal: &IdealSolution,
@@ -2040,30 +1986,6 @@ mod tests {
             );
             assert_eq!(pooled, serial, "{threads} workers");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_forwarders_match_the_unified_entry_point() {
-        let ts = vd_tasks();
-        let tl = Timeline::build(&ts);
-        let ideal = ideal_schedule(&ts, &PolynomialPower::cubic());
-        let unified = alloc_der(&ts, &tl, 4, &ideal);
-        assert_eq!(allocate_der(&ts, &tl, 4, &ideal), unified);
-        assert_eq!(
-            allocate_der_with(&ts, &tl, 4, &ideal, &mut Scratch::new()),
-            unified
-        );
-        assert_eq!(
-            allocate_der_reference(&ts, &tl, 4, &ideal),
-            allocate(AllocRequest::new(&ts, &tl, 4, &ideal).strategy(DerStrategy::Reference))
-        );
-        assert_eq!(
-            allocate_der_no_redistribution(&ts, &tl, 4, &ideal),
-            allocate(
-                AllocRequest::new(&ts, &tl, 4, &ideal).strategy(DerStrategy::NoRedistribution)
-            )
-        );
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //!   arrivals not known in advance),
 //! * [`nec`] — Normalized Energy Consumption evaluation used by every
 //!   experiment,
-//! * [`pool`] — the std-only work-stealing pool used for batch jobs and
-//!   for intra-instance fan-out of the DER allocator.
+//! * [`Pool`] — the std-only work-stealing pool of
+//!   [`esched_obs::pool`], re-exported; used for batch jobs and for
+//!   intra-instance fan-out of the DER allocator.
 //!
 //! The pipeline is instrumented with `esched-obs` tracing spans:
 //! `der_schedule`/`even_schedule` at INFO, and `timeline_build`,
@@ -44,7 +45,6 @@ pub mod ideal;
 pub mod nec;
 pub mod optimal;
 pub mod packing;
-pub mod pool;
 pub mod quality;
 pub mod reclaim;
 pub mod refine;
@@ -54,12 +54,8 @@ pub mod yds;
 
 pub use allocation::{
     allocate, allocate_even, allocate_work_proportional, reallocate_der_patched,
-    repair_der_columns, repair_der_in_place, AllocRequest, AvailMatrix, DerRepairStats,
-    DerStrategy, DEFAULT_PARALLEL_THRESHOLD,
-};
-#[allow(deprecated)] // the forwarders stay exported for downstream migration
-pub use allocation::{
-    allocate_der, allocate_der_no_redistribution, allocate_der_reference, allocate_der_with,
+    repair_der_in_place, AllocRequest, AvailMatrix, DerRepairStats, DerStrategy,
+    DEFAULT_PARALLEL_THRESHOLD,
 };
 pub use baselines::{partitioned_yds, uniform_frequency, BaselineOutcome};
 pub use core_count::{select_core_count, CoreCountChoice, Method};
@@ -68,6 +64,7 @@ pub use discrete::{
     best_discrete_split, quantize_schedule, requantize_schedule, two_level_assignment,
     two_level_split, DiscreteOutcome, QuantizePolicy, TwoLevelSplit,
 };
+pub use esched_obs::pool::{Pool, PoolError};
 pub use even::{even_schedule, even_schedule_with};
 pub use ideal::{ideal_schedule, IdealSolution};
 pub use nec::{evaluate_nec, evaluate_nec_full, mean_nec, std_nec, NecEvaluation, NecPoint};
@@ -76,7 +73,6 @@ pub use optimal::{
     OptimalSolution, Solver,
 };
 pub use packing::{pack_subinterval, PackError, PackItem};
-pub use pool::{Pool, PoolError, ScratchPool};
 pub use quality::{analyze, ScheduleQuality, TaskQuality};
 pub use reclaim::{no_reclaim_energy, reclaim_der, ReclaimOutcome};
 pub use refine::{

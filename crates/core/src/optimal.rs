@@ -8,6 +8,7 @@
 //! into a collision-free schedule via Algorithm 1.
 
 use crate::packing::{pack_subinterval, PackItem};
+use crate::Pool;
 use esched_opt::{EnergyProgram, SolveOptions, SolveResult, SolverTelemetry};
 use esched_subinterval::Timeline;
 use esched_types::{PolynomialPower, Schedule, TaskSet};
@@ -115,7 +116,7 @@ pub fn optimal_energy_in_pool(
     power: &PolynomialPower,
     opts: &SolveOptions,
     solver: Solver,
-    pool: Option<&crate::pool::Pool>,
+    pool: Option<&Pool>,
 ) -> OptimalSolution {
     let ep = EnergyProgram::new(tasks, timeline, cores, *power);
     let mut result: SolveResult = match pool {

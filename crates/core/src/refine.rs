@@ -23,8 +23,8 @@
 use crate::allocation::AvailMatrix;
 use crate::ideal::IdealSolution;
 use crate::packing::{max_packed_segments, pack_subinterval, PackItem};
-use crate::pool::Pool;
 use crate::scratch::Scratch;
+use crate::Pool;
 use esched_obs::{span, Level};
 use esched_subinterval::Timeline;
 use esched_types::time::EPS;

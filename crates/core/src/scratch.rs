@@ -9,8 +9,10 @@
 //! thousands of instances while touching the allocator only when an
 //! instance outgrows every previous one.
 //!
-//! The allocating entry points (`der_schedule`, `allocate_der`, …) are
-//! thin wrappers over their `_with` twins with a fresh `Scratch`, so
+//! The allocating entry points (`der_schedule`, `even_schedule`, …) are
+//! thin wrappers over their `_with` twins with a fresh `Scratch`, and
+//! [`allocate`](crate::allocate) takes one only through
+//! [`AllocRequest::with_scratch`](crate::AllocRequest::with_scratch), so
 //! one-shot callers never see this type.
 
 use esched_subinterval::TimelineScratch;

@@ -2,16 +2,16 @@
 //!
 //! The pool machinery itself (per-worker deques, steal-from-back,
 //! submission-order results, panic isolation) lives in
-//! [`esched_obs::pool`], below every algorithm crate, and `esched_core`
-//! re-exports it with the [`ScratchPool`] extension that threads a
-//! per-worker [`Scratch`] arena through each job; the allocator and
+//! [`esched_obs::pool`], below every algorithm crate; the allocator and
 //! refinement use the same pool within one instance. [`Engine`] is the
-//! request/outcome wrapper the service layer uses: same sizing rules,
+//! request/outcome wrapper the service layer uses: it threads a
+//! per-worker [`Scratch`] arena through each job via the pool's
+//! `run_one_with` / `batch_map_with`, with the same sizing rules and the
 //! same determinism contract (results indexed by submission order, so
 //! the output is identical regardless of worker count or steal
 //! interleaving — the property the determinism test pins).
 
-use esched_core::{Pool, PoolError, Scratch, ScratchPool};
+use esched_core::{Pool, PoolError, Scratch};
 
 use crate::config::ScheduleRequest;
 use crate::exec::execute;
@@ -73,7 +73,7 @@ impl Engine {
     /// panic isolation as a batch.
     pub fn run(&self, request: &ScheduleRequest) -> Result<ScheduleOutcome, EngineError> {
         self.pool
-            .run_one(|scratch| execute(scratch, request))
+            .run_one_with(Scratch::new, |scratch| execute(scratch, request))
             .map_err(EngineError::from)
     }
 
@@ -103,7 +103,7 @@ impl Engine {
         F: Fn(&mut Scratch, I) -> T + Sync,
     {
         self.pool
-            .batch_map(items, f)
+            .batch_map_with(Scratch::new, items, f)
             .into_iter()
             .map(|r| r.map_err(EngineError::from))
             .collect()

@@ -504,14 +504,7 @@ pub(crate) fn thread_name_event(pid: u64, tid: u64, name: &str) -> Value {
 mod tests {
     use super::*;
     use crate::json::parse;
-    use crate::trace::{disable, init_with, Filter, Level};
-
-    // Installing a subscriber mutates global state; serialize with the
-    // trace tests' convention.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::trace::{disable, init_with, serial, Filter, Level};
 
     fn phases(doc: &Value) -> Vec<String> {
         doc.get("traceEvents")

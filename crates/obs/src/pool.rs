@@ -11,7 +11,9 @@
 //! The pool lives here, below every algorithm crate, so all its parallel
 //! consumers can share one implementation:
 //!
-//! * `esched-engine` fans whole schedule requests across it,
+//! * `esched-engine` fans whole schedule requests across it
+//!   ([`Pool::batch_map_with`] and [`Pool::run_one_with`] with a fresh
+//!   `Scratch` arena as each worker's context),
 //! * `esched-core`'s allocator fans heavy subinterval ranges of *one*
 //!   instance across it ([`Pool::batch_map_with`] with the allocator's
 //!   scratch arena as the worker context),
@@ -22,7 +24,7 @@
 //!
 //! Worker-local state is generic: [`Pool::batch_map_with`] threads a
 //! per-worker context built by a caller-supplied factory through every
-//! job (the `esched-core` wrapper instantiates it with `Scratch`), while
+//! job (`esched-core` and `esched-engine` pass `Scratch::new`), while
 //! [`Pool::scoped_run`] is the context-free variant for borrowed-slice
 //! fan-out where a panic should propagate instead of being collected.
 //! Metric names keep the historical `esched.engine.*` prefix —

@@ -8,8 +8,9 @@
 //! requested level against a global ceiling that is 0 (`off`) until a
 //! subscriber is installed. The [`crate::span!`]/[`crate::event!`] macros
 //! expand to an `if enabled(..)` guard, so field expressions are never
-//! evaluated and no allocation happens while tracing is off — verified by
-//! the `micro_primitives` bench in `esched-bench`.
+//! evaluated and no allocation happens while tracing is off or the filter
+//! rejects the call site — pinned by the
+//! `fields_are_evaluated_only_when_the_filter_passes` test below.
 
 use std::cell::Cell;
 use std::fmt;
@@ -542,16 +543,18 @@ macro_rules! event {
     };
 }
 
+/// The subscriber is global; unit tests that install one (here and in
+/// [`crate::chrome`]) must not run concurrently with each other or with
+/// tests that assume tracing is off. This lock serializes them.
+#[cfg(test)]
+pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The subscriber is global; tests that install one must not run
-    // concurrently with each other. A lock serializes them.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn disabled_by_default_and_cheap() {
@@ -595,6 +598,51 @@ mod tests {
         assert_eq!(recs[1].kind, RecordKind::Event);
         assert_eq!(recs[1].depth, 1); // nested inside the span
         assert!(matches!(recs[2].kind, RecordKind::SpanExit { .. }));
+    }
+
+    #[test]
+    fn fields_are_evaluated_only_when_the_filter_passes() {
+        let _g = serial();
+        let span_evals = Cell::new(0usize);
+        let event_evals = Cell::new(0usize);
+        let fire = || {
+            let _span = crate::span!(
+                Level::Debug,
+                "lazy",
+                n = span_evals.replace(span_evals.get() + 1)
+            );
+            crate::event!(
+                Level::Debug,
+                "lazy",
+                n = event_evals.replace(event_evals.get() + 1)
+            );
+        };
+
+        disable();
+        fire();
+        assert_eq!((span_evals.get(), event_evals.get()), (0, 0), "disabled");
+
+        // A level the filter rejects, then a target it rejects.
+        for spec in ["warn", "some_other_crate=trace"] {
+            let sink = MemorySink::new();
+            init_with(Filter::parse(spec), Arc::new(sink.clone()));
+            fire();
+            disable();
+            assert_eq!((span_evals.get(), event_evals.get()), (0, 0), "{spec}");
+            assert!(sink.is_empty(), "{spec}");
+        }
+
+        // Scoped to this module, so spans other tests emit concurrently
+        // (the pool's `engine_batch`) stay out of the sink.
+        let sink = MemorySink::new();
+        init_with(
+            Filter::parse("esched_obs::trace=debug"),
+            Arc::new(sink.clone()),
+        );
+        fire();
+        disable();
+        assert_eq!((span_evals.get(), event_evals.get()), (1, 1), "debug");
+        assert_eq!(sink.len(), 3); // enter, event, exit
     }
 
     #[test]
