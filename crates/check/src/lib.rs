@@ -17,11 +17,12 @@
 //! * [`oracles`] — run on every generated instance: energy ordering
 //!   (`E^OPT − ε ≤ E(S)` for `S ∈ {S^I1, S^F1, S^I2, S^F2}` and
 //!   `E^F ≤ E^I`), `validate_schedule` ⟺ clean-simulation agreement,
+//!   `simulate` ≡ the traced event loop bit for bit,
 //!   per-subinterval packing capacity (`Σ busy ≤ m·Δ_j + tol`), work
 //!   conservation (`Σ segment·freq = C_i`), quantized-schedule
 //!   feasibility agreement under the discrete model, and — because the
 //!   whole pipeline runs under `catch_unwind` — any panic anywhere;
-//! * [`shrink`] — an **auto-shrinker** that minimizes a failing instance
+//! * [`shrink`](mod@shrink) — an **auto-shrinker** that minimizes a failing instance
 //!   (drop tasks, reduce cores, simplify the power model, round times,
 //!   shrink requirements) while preserving the failing oracle class, so
 //!   the repro committed to `corpus/` is a minimal one;

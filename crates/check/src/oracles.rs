@@ -15,10 +15,10 @@ use esched_core::{
     two_level_assignment, HeuristicOutcome, OptimalSolution, QuantizePolicy,
 };
 use esched_opt::SolveOptions;
-use esched_sim::simulate;
+use esched_sim::{simulate, simulate_traced, SimReport};
 use esched_subinterval::Timeline;
 use esched_types::validate::WORK_TOL;
-use esched_types::{validate_schedule, DiscretePower, PowerModel, Schedule};
+use esched_types::{validate_schedule, DiscretePower, PowerModel, Schedule, TaskSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Which oracle a violation came from.
@@ -29,8 +29,9 @@ pub enum OracleClass {
     Panic,
     /// Energy ordering: `E^OPT − ε ≤ E(S)` or `E^F ≤ E^I` violated.
     EnergyOrdering,
-    /// `validate_schedule` and the simulator disagree, or a constructed
-    /// schedule is outright illegal.
+    /// `validate_schedule` and the simulator disagree, a constructed
+    /// schedule is outright illegal, or `simulate` reports other bits than
+    /// the event loop `simulate_traced` always runs.
     ValidatorSim,
     /// Per-subinterval packing capacity or per-task occupancy exceeded.
     Packing,
@@ -314,6 +315,32 @@ fn run_caught<T>(stage: &str, out: &mut Vec<OracleViolation>, f: impl FnOnce() -
     }
 }
 
+/// [`simulate`], checked against the event loop that [`simulate_traced`]
+/// always runs: whichever path `simulate` takes, its report must equal the
+/// event loop's in every field, bit for bit. `None` when either panicked.
+fn simulate_checked<P: PowerModel>(
+    label: &str,
+    schedule: &Schedule,
+    tasks: &TaskSet,
+    power: &P,
+    out: &mut Vec<OracleViolation>,
+) -> Option<SimReport> {
+    let sim = run_caught(&format!("simulate {label}"), out, || {
+        simulate(schedule, tasks, power)
+    })?;
+    let traced = run_caught(&format!("simulate_traced {label}"), out, || {
+        simulate_traced(schedule, tasks, power).0
+    })?;
+    // `Debug` prints each f64 so that it reads back to the same bits.
+    if format!("{sim:?}") != format!("{traced:?}") {
+        out.push(OracleViolation {
+            class: OracleClass::ValidatorSim,
+            message: format!("{label}: simulate's report differs from the event loop's"),
+        });
+    }
+    Some(sim)
+}
+
 /// `E^OPT − ε ≤ E(S)` for all four constructed schedules, and the final
 /// refinement never increases energy (`E^F ≤ E^I` per method). `ε` is the
 /// solver's certified duality gap plus [`ORDER_REL_TOL`] relative slack.
@@ -390,10 +417,7 @@ fn check_schedule(
             message: format!("{label}: illegal schedule: {}", msgs.join("; ")),
         });
     }
-    let sim = run_caught(&format!("simulate {label}"), out, || {
-        simulate(schedule, &inst.tasks, &inst.power)
-    });
-    if let Some(sim) = sim {
+    if let Some(sim) = simulate_checked(label, schedule, &inst.tasks, &inst.power, out) {
         if sim.is_clean() != legal {
             out.push(OracleViolation {
                 class: OracleClass::ValidatorSim,
@@ -588,9 +612,7 @@ fn check_discrete(inst: &Instance, der: &HeuristicOutcome, out: &mut Vec<OracleV
                             .to_string(),
                 });
             }
-            if let Some(sim) = run_caught("simulate requantized", out, || {
-                simulate(&req, &inst.tasks, &table)
-            }) {
+            if let Some(sim) = simulate_checked("requantized", &req, &inst.tasks, &table, out) {
                 if !sim.is_clean() {
                     out.push(OracleViolation {
                         class: OracleClass::Discrete,

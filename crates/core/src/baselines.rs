@@ -1,7 +1,7 @@
 //! Related-work baselines beyond YDS.
 //!
 //! The paper positions its heuristics against two broad families:
-//! optimal-but-heavy global solutions (refs [2], [4], [8] — represented
+//! optimal-but-heavy global solutions (refs \[2\], \[4\], \[8\] — represented
 //! here by the convex program in [`crate::optimal`]) and simpler schemes a
 //! practitioner might deploy instead. This module implements two of the
 //! latter:
@@ -98,7 +98,7 @@ pub fn partitioned_yds(tasks: &TaskSet, cores: usize, power: &PolynomialPower) -
 /// Uniform-frequency baseline: every task runs at the minimum globally
 /// feasible frequency `f*`; a feasible per-(task, subinterval) spread at
 /// that frequency is computed exactly by max-flow
-/// ([`esched_opt::flow::feasible_allocation`] — the ref-[4] reduction)
+/// ([`esched_opt::flow::feasible_allocation`] — the ref-\[4\] reduction)
 /// and packed by Algorithm 1.
 pub fn uniform_frequency(
     tasks: &TaskSet,

@@ -43,7 +43,7 @@
 //! pipeline computes for the same final task set — the patch paths either
 //! reproduce the from-scratch result exactly or fall back to it — so
 //! [`OnlineEngine::outcome`] yields a [`ScheduleOutcome`] that compares
-//! (and JSON-encodes) byte-for-byte equal to [`Engine::run`] on the
+//! (and JSON-encodes) byte-for-byte equal to [`Engine::run`](crate::Engine::run) on the
 //! equivalent request, at any worker count.
 
 use crate::audit::{AuditConfig, ShadowAuditor};

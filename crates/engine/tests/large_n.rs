@@ -1,10 +1,10 @@
 //! The validator, the simulator and schedule coalescing on DER schedules
 //! at the sizes the planning benchmark runs: all must stay near-linear in
 //! the segment count (the validator buckets segments per core and per
-//! task; the simulator merges its event list from runs a canonical
-//! schedule already has in order, and still orders a shuffled or reversed
-//! segment list exactly; packing leaves each schedule in canonical order,
-//! so coalescing skips its sort). Refinement on a pool, which builds the
+//! task; the simulator takes its single-sweep fast path on a canonical
+//! schedule, bit-identical to the event loop, and the event loop still
+//! orders a shuffled or reversed segment list exactly; packing leaves
+//! each schedule in canonical order, so coalescing skips its sort). Refinement on a pool, which builds the
 //! two schedules side by side, must give the serial outcome bit for bit.
 //!
 //! The 65k tests are release-mode tests:
@@ -15,7 +15,7 @@ use esched_core::{
     Pool, Scratch,
 };
 use esched_obs::rng::ChaCha8;
-use esched_sim::{simulate, Conflict, SimReport};
+use esched_sim::{simulate, simulate_traced, Conflict, SimReport};
 use esched_subinterval::Timeline;
 use esched_types::{validate_schedule, PolynomialPower, Schedule, Segment};
 use esched_workload::WorkloadSpec;
@@ -191,6 +191,8 @@ fn a_shuffled_or_reversed_65k_task_schedule_simulates_bit_identically() {
     let schedule = der_schedule(&tasks, 8, &power).schedule;
     let canonical = simulate(&schedule, &tasks, &power);
     assert!(canonical.is_clean(), "{:?}", canonical.conflicts.first());
+    // `simulate_traced` always runs the event loop.
+    assert_same_report(&simulate_traced(&schedule, &tasks, &power).0, &canonical);
 
     let mut segments = schedule.segments().to_vec();
     let mut rng = ChaCha8::seed_from_u64(0x65_536);

@@ -27,7 +27,7 @@
 //!   the result is **byte-identical at any worker count** — chunk
 //!   geometry depends on `n` only, never on `pool.threads()`.
 //! * **z-update, one ρ-weighted capped-simplex projection per
-//!   subinterval** ([`weighted_project`]), solved exactly by a
+//!   subinterval** (`weighted_project`), solved exactly by a
 //!   deterministic breakpoint sweep.
 //!
 //! The penalty is **diagonal and curvature-matched**: each task gets its

@@ -1,5 +1,5 @@
 //! Primal log-barrier interior-point solver — the method the paper
-//! actually names ("the Interior Point method [9]") when discussing how
+//! actually names ("the Interior Point method \[9\]") when discussing how
 //! the reformulated convex program would be solved optimally.
 //!
 //! Minimizes `Φ_μ(x) = E(x) + μ·B(x)` over strictly feasible `x`, where

@@ -2,7 +2,7 @@
 //! schedulability test.
 //!
 //! The related work the paper compares against ([Albers et al.] and
-//! [Angel et al.], the papers' refs [2] and [4]) reduces speed-scaling on
+//! [Angel et al.], the papers' refs \[2\] and \[4\]) reduces speed-scaling on
 //! multiprocessors to repeated maximum-flow computations. We implement the
 //! underlying reduction once as a substrate: a task set is feasible on `m`
 //! cores at uniform frequency cap `f` iff the following network admits a
@@ -16,7 +16,7 @@
 //! This is the exact feasibility oracle; the interval-based conditions in
 //! `esched-subinterval::analysis` are its combinatorial shadow. Binary
 //! searching the cap over this oracle yields the minimum feasible uniform
-//! frequency to any accuracy — the `O(n·f(n)·log U)` scheme of ref [4].
+//! frequency to any accuracy — the `O(n·f(n)·log U)` scheme of ref \[4\].
 
 // Indexed loops below walk several parallel arrays at once; iterator
 // zips would obscure the numerics. Silence clippy's range-loop lint here.
@@ -235,7 +235,7 @@ pub fn feasible_allocation(
 }
 
 /// Binary-search the minimum uniform frequency cap at which the instance
-/// is feasible, to relative accuracy `tol` — the ref-[4] scheme.
+/// is feasible, to relative accuracy `tol` — the ref-\[4\] scheme.
 pub fn min_frequency_by_flow(tasks: &TaskSet, timeline: &Timeline, cores: usize, tol: f64) -> f64 {
     // Upper bound: serialize everything on one core inside the shortest
     // window — crude but safe.

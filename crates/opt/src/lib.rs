@@ -28,7 +28,7 @@
 //! * [`least_squares`] — the `p(f) = γf^α + p₀` power-curve fit
 //!   (Section VI.C),
 //! * [`flow`] — Dinic max-flow and the exact flow-based schedulability
-//!   test underlying the related-work algorithms (refs [2] and [4]).
+//!   test underlying the related-work algorithms (refs \[2\] and \[4\]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

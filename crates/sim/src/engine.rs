@@ -10,9 +10,24 @@
 //! cross-checked: if the algebra in `esched-core` and the event mechanics
 //! here ever disagree, a test fails.
 //!
+//! # Two paths, one report
+//!
+//! [`simulate`] first walks the segment list once (the crate's `fast`
+//! module). For a schedule in canonical (start, core, task) order that
+//! double-books no core and meets every deadline — the shape refine and
+//! packing produce — that sweep builds this event loop's [`SimReport`] bit
+//! for bit, without listing or sorting a single event. Where it cannot
+//! show that (non-canonical order, an overlap on a core, a task whose
+//! segment ends go backwards, an end past its deadline, a shortfall near
+//! the miss threshold, a bad core or task index, a non-finite boundary),
+//! `simulate` runs the event loop below, which then also raises the
+//! documented panics. [`simulate_traced`] always runs the event loop,
+//! because it records the log: it is the fast path's oracle. Both paths
+//! record the same `simulate` span and `esched.sim.*` counters.
+//!
 //! # Event order
 //!
-//! All events are sorted once, before the run, by time, then rank (ends,
+//! The event loop sorts all events once, by time, then rank (ends,
 //! deadlines, releases, starts), then segment index (for segment
 //! boundaries) or task id (for releases and deadlines). −0.0 and +0.0 are
 //! the same time. The sort merges runs that a canonical schedule already
@@ -58,7 +73,9 @@ pub fn log_to_csv(log: &[LoggedEvent]) -> String {
     out
 }
 
-/// Execute `schedule` for `tasks` under `model` and measure the outcome.
+/// Execute `schedule` for `tasks` under `model` and measure the outcome:
+/// in one sweep over the segments where that provably gives the event
+/// loop's report, with the event loop otherwise (see the module docs).
 ///
 /// # Examples
 ///
@@ -80,7 +97,10 @@ pub fn log_to_csv(log: &[LoggedEvent]) -> String {
 /// runs on a core at or past `schedule.cores`, which `validate_schedule`
 /// reports as a `BadCore` violation instead.
 pub fn simulate<P: PowerModel>(schedule: &Schedule, tasks: &TaskSet, model: &P) -> SimReport {
-    run(schedule, tasks, model, None)
+    observed(schedule, tasks, || {
+        crate::fast::sweep(schedule, tasks, model)
+            .unwrap_or_else(|| run(schedule, tasks, model, None))
+    })
 }
 
 /// [`simulate`], additionally returning the time-ordered execution log —
@@ -95,8 +115,42 @@ pub fn simulate_traced<P: PowerModel>(
     model: &P,
 ) -> (SimReport, Vec<LoggedEvent>) {
     let mut log = Vec::new();
-    let report = run(schedule, tasks, model, Some(&mut log));
+    let report = observed(schedule, tasks, || {
+        run(schedule, tasks, model, Some(&mut log))
+    });
     (report, log)
+}
+
+/// Run `simulation` inside the `simulate` span and record its counters,
+/// whichever path produced the report.
+fn observed(
+    schedule: &Schedule,
+    tasks: &TaskSet,
+    simulation: impl FnOnce() -> SimReport,
+) -> SimReport {
+    let _span = esched_obs::span!(
+        esched_obs::Level::Info,
+        "simulate",
+        n_segments = schedule.len(),
+        n_tasks = tasks.len(),
+        cores = schedule.cores,
+    );
+    let report = simulation();
+    esched_obs::metric_counter!("esched.sim.runs").inc();
+    esched_obs::metric_counter!("esched.sim.events").add(report.queue_peak as u64);
+    esched_obs::metric_counter!("esched.sim.preemptions").add(report.preemptions as u64);
+    esched_obs::metric_counter!("esched.sim.migrations").add(report.migrations as u64);
+    esched_obs::metric_gauge!("esched.sim.queue_peak").set_max(report.queue_peak as f64);
+    esched_obs::event!(
+        esched_obs::Level::Debug,
+        "simulation done",
+        queue_peak = report.queue_peak,
+        preemptions = report.preemptions,
+        migrations = report.migrations,
+        misses = report.deadline_misses.len(),
+        conflicts = report.conflicts.len(),
+    );
+    report
 }
 
 /// `last_core` entry of a task that has not started yet.
@@ -145,13 +199,6 @@ fn run<P: PowerModel>(
     model: &P,
     mut log: Option<&mut Vec<LoggedEvent>>,
 ) -> SimReport {
-    let _span = esched_obs::span!(
-        esched_obs::Level::Info,
-        "simulate",
-        n_segments = schedule.len(),
-        n_tasks = tasks.len(),
-        cores = schedule.cores,
-    );
     let events = sorted_events(schedule, tasks.tasks());
     let segments = schedule.segments();
 
@@ -169,7 +216,6 @@ fn run<P: PowerModel>(
     // Counters surfaced in the report. All events are listed up front, so
     // the queue's high-water mark is the length of that list.
     let queue_peak = events.len();
-    let mut batches = 0u64;
     let mut preemptions = 0usize;
     let mut migrations = 0usize;
     // Last core each task ran on (`NO_CORE` before its first start), for
@@ -213,7 +259,6 @@ fn run<P: PowerModel>(
             batch.push(key.decode(schedule, tasks));
             cursor += 1;
         }
-        batches += 1;
         // Rank first: an end one ulp *after* a start at the "same" instant
         // must still be processed before it. The batch is in (time, rank)
         // order, so when its ranks already ascend this stable sort would
@@ -359,21 +404,6 @@ fn run<P: PowerModel>(
 
     misses.sort_unstable();
     misses.dedup();
-    esched_obs::metric_counter!("esched.sim.runs").inc();
-    esched_obs::metric_counter!("esched.sim.event_batches").add(batches);
-    esched_obs::metric_counter!("esched.sim.events").add(queue_peak as u64);
-    esched_obs::metric_counter!("esched.sim.preemptions").add(preemptions as u64);
-    esched_obs::metric_counter!("esched.sim.migrations").add(migrations as u64);
-    esched_obs::metric_gauge!("esched.sim.queue_peak").set_max(queue_peak as f64);
-    esched_obs::event!(
-        esched_obs::Level::Debug,
-        "simulation done",
-        queue_peak = queue_peak,
-        preemptions = preemptions,
-        migrations = migrations,
-        misses = misses.len(),
-        conflicts = conflicts.len(),
-    );
     SimReport {
         energy: state.cores.iter().map(|c| c.energy).sum(),
         core_energy: state.cores.iter().map(|c| c.energy).collect(),

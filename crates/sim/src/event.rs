@@ -5,9 +5,12 @@
 //! with a deterministic tie-break (ends before starts at the same instant,
 //! so back-to-back segments hand over cleanly).
 //!
-//! Every event is known before the run starts, so the engine sorts them
-//! once, as compact [`EventKey`]s, and walks the sorted list with a cursor.
-//! A key is decoded into a full [`Event`] only when the engine reaches it.
+//! Every event is known before the run starts, so the event loop sorts
+//! them once, as compact `EventKey`s, and walks the sorted list with a
+//! cursor. A key is decoded into a full [`Event`] only when the loop
+//! reaches it. Only the event loop builds this list: `simulate` first
+//! tries a single sweep over the segments, which needs no event list, and
+//! sorts only when that sweep falls back (see [`crate::engine`]).
 //!
 //! A key is one `u128` whose integer order is the event order: time, then
 //! rank, then segment index or task id. `sorted_events` lists the keys

@@ -10,9 +10,13 @@
 //! agreement between the two (asserted across the test suite) is a real
 //! end-to-end check of both.
 //!
-//! * [`event`] — events, and the event list the engine sorts once per run,
+//! * [`event`] — events, and the event list the event loop sorts once per
+//!   run,
 //! * [`machine`] — per-core sleep/active state machines,
-//! * [`engine`] — the simulation loop ([`simulate`]),
+//! * [`engine`] — [`simulate`] and [`simulate_traced`]. `simulate` walks a
+//!   canonical schedule once and runs the event loop only when that single
+//!   sweep cannot show its report equal to the loop's; `simulate_traced`
+//!   always runs the event loop,
 //! * [`metrics`] — the [`SimReport`],
 //! * [`online`] — an online global-EDF dispatcher driven by per-task
 //!   frequency assignments (the paper's "easy to implement" claim),
@@ -23,6 +27,7 @@
 
 pub mod engine;
 pub mod event;
+mod fast;
 pub mod machine;
 pub mod metrics;
 pub mod online;

@@ -117,7 +117,7 @@ impl Schedule {
     /// Append a segment, dropping only zero-length ones. For producers
     /// whose inputs are already dust-filtered and whose output must
     /// conserve work exactly — McNaughton packing splits an item at the
-    /// subinterval boundary, and the head piece can fall under [`push`]'s
+    /// subinterval boundary, and the head piece can fall under [`push`](Self::push)'s
     /// dust gate even though its sibling pieces only add back up to the
     /// item with it included.
     pub fn push_exact(&mut self, seg: Segment) {
