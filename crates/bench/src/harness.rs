@@ -762,6 +762,16 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The metric counters are process-global, and building the curated
+    /// suite bumps some of them (its fixtures build timelines). Every
+    /// test that builds the suite holds this lock, so the counter delta
+    /// one of them reads is its own.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn doc(entries: &[(&str, f64)]) -> Value {
         Value::obj(vec![
@@ -834,6 +844,7 @@ mod tests {
 
     #[test]
     fn online_entries_are_present_and_gating() {
+        let _serial = serial();
         let suite = curated_suite();
         assert!(suite.iter().any(|b| b.name == "online/replan_p99"));
         assert!(suite.iter().any(|b| b.name == "online/offline_execute"));
@@ -846,6 +857,7 @@ mod tests {
 
     #[test]
     fn large_n_entries_are_present_but_advisory() {
+        let _serial = serial();
         let suite = curated_suite();
         for name in [
             "micro/der_alloc/16k",
@@ -864,6 +876,7 @@ mod tests {
 
     #[test]
     fn admm_entries_gate_and_interior_point_anchor_is_advisory() {
+        let _serial = serial();
         let suite = curated_suite();
         for name in ["opt/admm/1024", "opt/admm/4096", "opt/admm/16k"] {
             assert!(suite.iter().any(|b| b.name == name), "{name} missing");
@@ -888,6 +901,7 @@ mod tests {
 
     #[test]
     fn suite_has_at_least_six_entries_with_stable_unique_names() {
+        let _serial = serial();
         let suite = curated_suite();
         assert!(suite.len() >= 6, "only {} entries", suite.len());
         let mut names: Vec<&str> = suite.iter().map(|b| b.name).collect();
@@ -898,6 +912,7 @@ mod tests {
 
     #[test]
     fn run_entry_produces_samples_and_metric_deltas() {
+        let _serial = serial();
         let mut bench = curated_suite()
             .into_iter()
             .find(|b| b.name == "micro/timeline_build/80")
@@ -917,6 +932,7 @@ mod tests {
 
     #[test]
     fn results_json_has_header_and_entry_shape() {
+        let _serial = serial();
         let mut bench = curated_suite().swap_remove(0);
         bench.iters = 3;
         let results = vec![run_entry(&mut bench)];

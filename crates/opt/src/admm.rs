@@ -13,16 +13,20 @@
 //! makes both proximal operators exact and cheap:
 //!
 //! * **x-update, one small strictly-convex problem per task.** For task
-//!   `i` with box caps `Δ_k` and anchor `v = z − u`,
-//!   `argmin φ_i(Σ_k x_k) + (ρ/2)‖x − v‖²` has the closed form
-//!   `x_k = clamp(v_k − t, 0, Δ_k)` where the shift `t = φ_i'(X)/ρ` is
-//!   the unique root of the strictly increasing scalar
-//!   `H(t) = t − φ_i'(S(t))/ρ`, `S(t) = Σ_k clamp(v_k − t, 0, Δ_k)`,
-//!   solved with [`crate::scalar::bisect`] in `t`-space (where coordinate
-//!   accuracy equals bracket accuracy). These per-task solves are fanned across
-//!   the shared worker pool ([`esched_obs::pool::Pool::scoped_run`]) in
-//!   fixed 64-task chunks: each chunk owns a disjoint contiguous `&mut`
-//!   range of the flat vector (task blocks are contiguous by layout), and
+//!   `i` with box caps `Δ_k`, weights `ρ_k` and anchor `v = z − u`,
+//!   `argmin φ_i(Σ_k x_k) + Σ_k (ρ_k/2)(x_k − v_k)²` has the closed form
+//!   `x_k = clamp(v_k − t/ρ_k, 0, Δ_k)`, where the shift `t = φ_i'(X)` is
+//!   the root of one increasing scalar equation in `t`-space (where a
+//!   shift error of `ε` moves coordinate `k` by at most `ε/ρ_k`). It is
+//!   solved in log form by safeguarded Newton
+//!   ([`crate::scalar::newton_increasing`]), starting from the task's
+//!   shift of the round before: on `large_n(256)` that takes 4.6
+//!   evaluations of `S(t)` per task and round.
+//!   From `PARALLEL_MIN_TASKS` (4,096) tasks up, these solves are fanned
+//!   across the shared worker pool
+//!   ([`esched_obs::pool::Pool::scoped_run`]) in fixed 64-task chunks:
+//!   each chunk owns a disjoint contiguous `&mut` range of the flat
+//!   vector (task blocks are contiguous by layout) and of the shifts, and
 //!   because every task's arithmetic is a pure function of its own data,
 //!   the result is **byte-identical at any worker count** — chunk
 //!   geometry depends on `n` only, never on `pool.threads()`.
@@ -60,7 +64,7 @@
 //! so a warm start that is already optimal returns after zero rounds.
 
 use crate::energy_program::{EnergyProgram, X_FLOOR};
-use crate::scalar::bisect;
+use crate::scalar::newton_increasing;
 use crate::solver::{IterSample, SolveOptions, SolveResult, SolverTelemetry};
 use esched_obs::pool::Pool;
 use esched_obs::{event, span, Level};
@@ -81,8 +85,13 @@ const RHO_REFRESH_EVERY: usize = 10;
 /// vector splits identically at every worker count.
 const TASKS_PER_CHUNK: usize = 64;
 /// Below this task count the chunked fan-out is pure overhead; run the
-/// same per-task updates serially (bit-identical by construction).
-const PARALLEL_MIN_TASKS: usize = 256;
+/// same per-task updates serially (bit-identical by construction). Each
+/// round's fan-out starts its workers afresh, and with the Newton prox a
+/// task costs ~0.7 µs, so the pool only pays once a round holds thousands
+/// of tasks: on a 2-vCPU VM (`large_n`, `fast()`, 2 workers vs serial)
+/// the x-update lost 20% at n = 2048, tied at 3072 and won 8–20% at 4096
+/// and 8192.
+const PARALLEL_MIN_TASKS: usize = 4096;
 
 /// Solve with consensus ADMM on an env-sized pool
 /// (`ESCHED_ENGINE_THREADS`); see [`solve_admm_in`].
@@ -191,6 +200,9 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
     };
 
     let mut x = z.clone();
+    // Each task's prox shift from the last round, the first Newton
+    // iterate of the next (NaN until a root has been solved for).
+    let mut shift = vec![f64::NAN; n_tasks];
     let mut w = vec![0.0_f64; dim];
     let mut v = vec![0.0_f64; dim];
 
@@ -257,11 +269,35 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
         for k in 0..dim {
             v[k] = z[k] - u[k];
         }
+        // Tasks `lo..hi`, whose flat block starts at `base` in `xs` and
+        // whose shifts are `shifts`.
+        let prox_range = |lo: usize, hi: usize, base: usize, xs: &mut [f64], shifts: &mut [f64]| {
+            for i in lo..hi {
+                let o = ep.offset_of_task(i);
+                let (a, b) = ep.span_of_task(i);
+                let r = o..o + (b - a);
+                let last = &mut shifts[i - lo];
+                if let Some(t) = task_prox(
+                    &mut xs[r.start - base..r.end - base],
+                    &v[r.clone()],
+                    &caps[r.clone()],
+                    &rho_of[r],
+                    ep.work_of_task(i),
+                    gamma,
+                    alpha,
+                    p0,
+                    *last,
+                ) {
+                    *last = t;
+                }
+            }
+        };
         if use_pool {
-            // Deterministic chunking: split x into contiguous per-chunk
-            // task ranges (layout keeps each task's block contiguous).
-            let mut jobs: Vec<(usize, usize, usize, &mut [f64])> = Vec::new();
-            let mut rest = x.as_mut_slice();
+            // Deterministic chunking: split x and the shifts into
+            // contiguous per-chunk task ranges (layout keeps each task's
+            // block contiguous).
+            let mut jobs = Vec::new();
+            let (mut rest, mut rest_shift) = (x.as_mut_slice(), shift.as_mut_slice());
             let mut consumed = 0usize;
             let mut lo = 0usize;
             while lo < n_tasks {
@@ -272,50 +308,17 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
                     ep.offset_of_task(hi)
                 };
                 let (head, tail) = rest.split_at_mut(end - consumed);
-                jobs.push((lo, hi, consumed, head));
-                rest = tail;
+                let (head_shift, tail_shift) = rest_shift.split_at_mut(hi - lo);
+                jobs.push((lo, hi, consumed, head, head_shift));
+                (rest, rest_shift) = (tail, tail_shift);
                 consumed = end;
                 lo = hi;
             }
-            let v_ref = &v;
-            let caps_ref = &caps;
-            let rho_ref = &rho_of;
-            pool.scoped_run(
-                jobs,
-                |(lo, hi, base, xs): (usize, usize, usize, &mut [f64])| {
-                    for i in lo..hi {
-                        let o = ep.offset_of_task(i);
-                        let (a, b) = ep.span_of_task(i);
-                        let l = b - a;
-                        task_prox(
-                            &mut xs[o - base..o - base + l],
-                            &v_ref[o..o + l],
-                            &caps_ref[o..o + l],
-                            &rho_ref[o..o + l],
-                            ep.work_of_task(i),
-                            gamma,
-                            alpha,
-                            p0,
-                        );
-                    }
-                },
-            );
+            pool.scoped_run(jobs, |(lo, hi, base, xs, shifts)| {
+                prox_range(lo, hi, base, xs, shifts)
+            });
         } else {
-            for i in 0..n_tasks {
-                let o = ep.offset_of_task(i);
-                let (a, b) = ep.span_of_task(i);
-                let l = b - a;
-                task_prox(
-                    &mut x[o..o + l],
-                    &v[o..o + l],
-                    &caps[o..o + l],
-                    &rho_of[o..o + l],
-                    ep.work_of_task(i),
-                    gamma,
-                    alpha,
-                    p0,
-                );
-            }
+            prox_range(0, n_tasks, 0, &mut x, &mut shift);
         }
 
         // Over-relaxed consensus: x̂ = RELAX·x + (1−RELAX)·z, then the
@@ -655,21 +658,45 @@ fn weighted_project(ep: &EnergyProgram, w: &[f64], rho: &[f64], out: &mut [f64])
 ///
 /// Stationarity gives `x_k = clamp(v_k − t/ρ_k, 0, caps_k)` where
 /// `t = φ'(X)` is the task's marginal power, and the self-consistency
-/// condition is solved **in `t`-space**: `H(t) = t − φ'(S(t))` with
-/// `S(t) = Σ_k clamp(v_k − t/ρ_k, 0, caps_k)` is strictly increasing
-/// (`S` decreasing, `φ'` increasing), and a `t` bracket of width `ε`
-/// pins every coordinate to `ε/ρ_k` — the bisection tolerance is scaled
-/// by the smallest weight so the loosest coordinate still resolves to
-/// ~1e-13. The alternative parametrization in `X = Σx` is numerically
-/// treacherous: near tiny optima `φ'(X)` moves ~1e13 per unit of `X`,
-/// so an `X` resolved to 1e-13 still yields a garbage shift and a
+/// condition `t = p₀ − cpow·S(t)^−α` (`cpow = γ(α−1)c^α`,
+/// `S(t) = Σ_k clamp(v_k − t/ρ_k, 0, caps_k)`) is solved **in `t`-space**,
+/// where a `t` error of `ε` moves every coordinate by at most `ε/ρ_k`.
+/// The alternative parametrization in `X = Σx` is numerically
+/// treacherous: near tiny optima `φ'(X)` moves ~1e13 per unit of `X`, so
+/// an `X` resolved to 1e-13 still yields a garbage shift and a
 /// collapsed-to-zero prox (a spurious ADMM fixed point where both
 /// residuals vanish and `ρ` adaptation never engages).
 ///
-/// Bracket: below `t_lo = min_k ρ_k(v_k − caps_k)` every share
-/// saturates (`S ≡ Σ caps`), so `H(t_lo) ≥ 0` means the all-capped
-/// point is the answer; at `t_hi = max_k ρ_k·v_k`, `S → 0` and
-/// `φ' → −∞` give `H(t_hi) = +∞`, so the sign change always exists.
+/// Bracket: below `t_lo = min_k ρ_k(v_k − caps_k)` every share saturates
+/// (`S ≡ Σ caps`), so if `t_lo` already satisfies
+/// `t_lo ≥ p₀ − cpow·(Σ caps)^−α` the all-capped point is the answer.
+/// Otherwise the root lies in `(t_lo, min(t_hi, p₀))` with
+/// `t_hi = max_k ρ_k·v_k` (where `S` reaches 0): `p₀ − t = cpow·S^−α > 0`
+/// rules out `t ≥ p₀`. On that bracket the root solves the log form
+///
+/// ```text
+/// F(t) = ln cpow − α·ln S(t) − ln(p₀ − t) = 0,
+/// F′(t) = α·σ(t)/S(t) + 1/(p₀ − t),   σ = Σ 1/ρ_k over 0 < x_k < caps_k,
+/// ```
+///
+/// which is increasing and, between the kinks of `S`, convex — the power
+/// law `S^−α` that makes the plain form hopeless for Newton near `S ≈ 0`
+/// becomes a logarithm. `F` is evaluated as one logarithm of the ratio
+/// `cpow·S^−α/(p₀ − t)`, so its sign is as sharp as that of the plain
+/// difference; three logarithms summed would carry the rounding of each
+/// large term into the near-zero sum.
+///
+/// [`newton_increasing`] solves it, with `start` as the first iterate
+/// (the last round's shift for this task, or the bracket midpoint) and
+/// the tolerance `1e-13·min(ρ_min, 1)·(1 + |t|)`: the returned `t` is
+/// the midpoint of a bracket of that width across which `F` changes
+/// sign, so it lies within half of it of the root and every coordinate
+/// within `1e-13·(1 + |t|)` of its exact value. The stop is certified by
+/// that sign change, not by a short step, because near `S ≈ 0` Newton's
+/// step is short only because `F` is steep.
+///
+/// Returns the shift `t`, or `None` where a shortcut decided the point
+/// (zero width, zero work, all capped).
 #[allow(clippy::too_many_arguments)]
 fn task_prox(
     x: &mut [f64],
@@ -680,17 +707,18 @@ fn task_prox(
     gamma: f64,
     alpha: f64,
     p0: f64,
-) {
+    start: f64,
+) -> Option<f64> {
     let l = x.len();
     if l == 0 {
-        return;
+        return None;
     }
     let cap_sum: f64 = caps.iter().sum();
     if cap_sum <= 0.0 {
         for xk in x.iter_mut() {
             *xk = 0.0;
         }
-        return;
+        return None;
     }
     let cpow = gamma * (alpha - 1.0) * work.powf(alpha);
     if cpow <= 0.0 {
@@ -698,16 +726,8 @@ fn task_prox(
         for k in 0..l {
             x[k] = (v[k] - p0 / rho[k]).clamp(0.0, caps[k]);
         }
-        return;
+        return None;
     }
-    let total = |t: f64| -> f64 {
-        let mut s = 0.0;
-        for k in 0..l {
-            s += (v[k] - t / rho[k]).clamp(0.0, caps[k]);
-        }
-        s
-    };
-    let h = |t: f64| t - (p0 - cpow * total(t).powf(-alpha));
     let mut t_lo = f64::INFINITY;
     let mut t_hi = f64::NEG_INFINITY;
     let mut rho_min = f64::INFINITY;
@@ -716,14 +736,36 @@ fn task_prox(
         t_hi = t_hi.max(rho[k] * v[k]);
         rho_min = rho_min.min(rho[k]);
     }
-    if h(t_lo) >= 0.0 {
+    let s_lo: f64 = (0..l)
+        .map(|k| (v[k] - t_lo / rho[k]).clamp(0.0, caps[k]))
+        .sum();
+    if t_lo - (p0 - cpow * s_lo.powf(-alpha)) >= 0.0 {
         x.copy_from_slice(caps);
-        return;
+        return None;
     }
-    let t = bisect(h, t_lo, t_hi, 1e-13 * rho_min.min(1.0));
+    let log_form = |t: f64| -> (f64, f64) {
+        let (mut s, mut sigma) = (0.0, 0.0);
+        for k in 0..l {
+            let y = v[k] - t / rho[k];
+            if y >= caps[k] {
+                s += caps[k];
+            } else if y > 0.0 {
+                s += y;
+                sigma += 1.0 / rho[k];
+            }
+        }
+        let slack = p0 - t;
+        (
+            (cpow * s.powf(-alpha) / slack).ln(),
+            alpha * sigma / s + 1.0 / slack,
+        )
+    };
+    let tol = 1e-13 * rho_min.min(1.0);
+    let t = newton_increasing(log_form, t_lo, t_hi.min(p0), start, tol);
     for k in 0..l {
         x[k] = (v[k] - t / rho[k]).clamp(0.0, caps[k]);
     }
+    Some(t)
 }
 
 #[cfg(test)]
@@ -836,12 +878,171 @@ mod tests {
         let caps = [10.0, 10.0, 10.0];
         let mut x = [0.0; 3];
         let (work, rho, gamma, alpha, p0) = (2.0, 1.5, 1.0, 3.0, 0.1);
-        task_prox(&mut x, &v, &caps, &[rho; 3], work, gamma, alpha, p0);
+        task_prox(
+            &mut x,
+            &v,
+            &caps,
+            &[rho; 3],
+            work,
+            gamma,
+            alpha,
+            p0,
+            f64::NAN,
+        );
         let x_tot: f64 = x.iter().sum();
         let dphi = p0 - gamma * (alpha - 1.0) * work.powf(alpha) * x_tot.powf(-alpha);
         for k in 0..3 {
             let grad = dphi + rho * (x[k] - v[k]);
             assert!(grad.abs() < 1e-8, "k={k}: stationarity residual {grad}");
         }
+    }
+
+    /// Reference prox: bisection of `H(t) = t − φ'(S(t))` on
+    /// `[t_lo, t_hi]` to `1e-13·min(ρ_min, 1)`, behind the same
+    /// shortcuts. Returns the shift like [`task_prox`].
+    #[allow(clippy::too_many_arguments)]
+    fn task_prox_bisection(
+        x: &mut [f64],
+        v: &[f64],
+        caps: &[f64],
+        rho: &[f64],
+        work: f64,
+        gamma: f64,
+        alpha: f64,
+        p0: f64,
+    ) -> Option<f64> {
+        let l = x.len();
+        if l == 0 {
+            return None;
+        }
+        let cap_sum: f64 = caps.iter().sum();
+        if cap_sum <= 0.0 {
+            x.fill(0.0);
+            return None;
+        }
+        let cpow = gamma * (alpha - 1.0) * work.powf(alpha);
+        if cpow <= 0.0 {
+            for k in 0..l {
+                x[k] = (v[k] - p0 / rho[k]).clamp(0.0, caps[k]);
+            }
+            return None;
+        }
+        let total = |t: f64| -> f64 {
+            let mut s = 0.0;
+            for k in 0..l {
+                s += (v[k] - t / rho[k]).clamp(0.0, caps[k]);
+            }
+            s
+        };
+        let h = |t: f64| t - (p0 - cpow * total(t).powf(-alpha));
+        let mut t_lo = f64::INFINITY;
+        let mut t_hi = f64::NEG_INFINITY;
+        let mut rho_min = f64::INFINITY;
+        for k in 0..l {
+            t_lo = t_lo.min(rho[k] * (v[k] - caps[k]));
+            t_hi = t_hi.max(rho[k] * v[k]);
+            rho_min = rho_min.min(rho[k]);
+        }
+        if h(t_lo) >= 0.0 {
+            x.copy_from_slice(caps);
+            return None;
+        }
+        let t = crate::scalar::bisect(h, t_lo, t_hi, 1e-13 * rho_min.min(1.0));
+        for k in 0..l {
+            x[k] = (v[k] - t / rho[k]).clamp(0.0, caps[k]);
+        }
+        Some(t)
+    }
+
+    /// xorshift64* in `[0, 1)`.
+    fn unit(state: &mut u64) -> f64 {
+        *state ^= *state >> 12;
+        *state ^= *state << 25;
+        *state ^= *state >> 27;
+        (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn newton_prox_matches_the_bisection_prox_on_random_subproblems() {
+        let mut state = 0x5eed_0123_4567_89ab_u64;
+        let mut solved = 0usize;
+        let mut warm = 0usize;
+        for case in 0..12_000 {
+            let rng = &mut state;
+            let l = 1 + (unit(rng) * 64.0) as usize;
+            let alpha = [2.0, 2.5, 3.0][case % 3];
+            let p0 = [0.0, 0.1, 0.2][(case / 3) % 3];
+            let work = match (case / 9) % 4 {
+                0 => 0.0,
+                1 => 1e-9,
+                _ => 0.5 + 50.0 * unit(rng),
+            };
+            let mut caps = vec![0.0; l];
+            let mut rho = vec![0.0; l];
+            let mut v = vec![0.0; l];
+            for k in 0..l {
+                // Mixed caps: a few slivers among ordinary widths.
+                caps[k] = if unit(rng) < 0.2 {
+                    1e-6 * unit(rng)
+                } else {
+                    0.05 + 10.0 * unit(rng)
+                };
+                rho[k] = 10f64.powf(-4.0 + 10.0 * unit(rng));
+                // Anchors below 0, inside the box and above the cap.
+                v[k] = caps[k] * (-1.5 + 4.0 * unit(rng));
+            }
+            let mut xb = vec![f64::NAN; l];
+            let tb = task_prox_bisection(&mut xb, &v, &caps, &rho, work, 1.0, alpha, p0);
+            // Cold starts; warm starts near and far from the root; and
+            // starts just under the top of the bracket, where S ≈ 0 and
+            // Newton's steps are short because F is steep.
+            let top = (0..l)
+                .fold(f64::NEG_INFINITY, |a, k| a.max(rho[k] * v[k]))
+                .min(p0);
+            let start = match (tb, case % 5) {
+                (Some(t), 1) => t * (1.0 + 1e-3 * (unit(rng) - 0.5)),
+                (Some(t), 2) => t - 1e3 * unit(rng),
+                (Some(t), 3) => t + 1e-9 * (unit(rng) - 0.5),
+                (Some(_), 4) => match case % 3 {
+                    0 => top.next_down(),
+                    1 => top - 1e-15 * (1.0 + top.abs()),
+                    _ => top - 1e-12 * (1.0 + top.abs()),
+                },
+                _ => f64::NAN,
+            };
+            let mut xn = vec![f64::NAN; l];
+            let tn = task_prox(&mut xn, &v, &caps, &rho, work, 1.0, alpha, p0, start);
+            let (Some(tb), Some(tn)) = (tb, tn) else {
+                assert_eq!(tb, tn, "case {case}: shortcut disagrees");
+                assert_eq!(xb, xn, "case {case}: shortcut point differs");
+                continue;
+            };
+            solved += 1;
+            warm += usize::from(start.is_finite());
+            let rho_min = rho.iter().fold(f64::INFINITY, |a, &r| a.min(r));
+            let tol = 1e-13 * rho_min.min(1.0) * (1.0 + tb.abs());
+            // Both are midpoints of sign-change brackets narrower than tol
+            // around the root. Where tol is finer than the equation's own
+            // rounding — its terms t and p₀ − t = cpow·S^−α are each
+            // rounded to 2^−52 of their size — a few ulps of the larger.
+            let slack = tol.max(8.0 * f64::EPSILON * tb.abs().max(p0 - tb));
+            assert!(
+                (tn - tb).abs() <= slack,
+                "case {case}: t newton {tn:e} vs bisection {tb:e}, tol {tol:e}"
+            );
+            for k in 0..l {
+                let bound = slack / rho[k] + 4.0 * f64::EPSILON * v[k].abs().max(caps[k]);
+                assert!(
+                    (xn[k] - xb[k]).abs() <= bound,
+                    "case {case}, k {k}: x {} vs {}, bound {bound:e}",
+                    xn[k],
+                    xb[k]
+                );
+            }
+        }
+        assert!(
+            solved >= 5_000 && warm >= 2_000,
+            "solved {solved}, warm {warm}"
+        );
     }
 }

@@ -16,7 +16,7 @@ use esched_types::{PolynomialPower, TaskSet};
 /// Deterministic pseudo-random task set. Releases are spread over a long
 /// horizon so windows overlap only locally: the flat dimension stays
 /// small even at task counts past the solver's serial-fallback threshold
-/// (256 tasks), keeping the test fast in debug builds.
+/// (4,096 tasks), keeping the test fast in debug builds.
 fn big_tasks(n: usize, seed: u64) -> TaskSet {
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
     let mut next = move || {
@@ -55,9 +55,9 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 #[test]
 fn byte_identical_across_1_4_8_workers() {
-    let tasks = big_tasks(300, 7);
+    let tasks = big_tasks(4200, 7);
     let ep = program(&tasks);
-    assert!(ep.task_count() >= 256, "must exercise the parallel path");
+    assert!(ep.task_count() >= 4096, "must exercise the parallel path");
     let opts = SolveOptions::default();
 
     let results: Vec<SolveResult> = [1usize, 4, 8]
