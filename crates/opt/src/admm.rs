@@ -21,7 +21,8 @@
 //!   solved in log form by safeguarded Newton
 //!   ([`crate::scalar::newton_increasing`]), starting from the task's
 //!   shift of the round before: on `large_n(256)` that takes 4.6
-//!   evaluations of `S(t)` per task and round.
+//!   evaluations of `S(t)` per task and round. The task's constants
+//!   (`γ(α−1)c^α` and its total box) are computed once per solve.
 //!   From `PARALLEL_MIN_TASKS` (4,096) tasks up, these solves are fanned
 //!   across the shared worker pool
 //!   ([`esched_obs::pool::Pool::scoped_run`]) in fixed 64-task chunks:
@@ -32,7 +33,10 @@
 //!   geometry depends on `n` only, never on `pool.threads()`.
 //! * **z-update, one ρ-weighted capped-simplex projection per
 //!   subinterval** (`weighted_project`), solved exactly by a
-//!   deterministic breakpoint sweep.
+//!   deterministic breakpoint sweep. The breakpoints are all positive, so
+//!   they sort by their bit patterns as integers, then by index (on
+//!   `large_n(256)` about 40 blocks bind per round, ~47 breakpoints
+//!   each).
 //!
 //! The penalty is **diagonal and curvature-matched**: each task gets its
 //! own `ρ_i = clamp(φ_i''(X_i), 1e-4, 1e6)`, re-estimated from the live
@@ -119,15 +123,18 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
     let t_start = Instant::now();
     let (gamma, alpha, p0) = ep.power_parameters();
 
-    // Box cap of every flat variable (the Δ_j of its subinterval), and the
-    // per-task chunk ranges — both fixed for the whole solve.
+    // Box cap of every flat variable (the Δ_j of its subinterval), and
+    // each task's prox constants — all fixed for the whole solve.
     let mut caps = vec![0.0_f64; dim];
+    let mut prox_consts = Vec::with_capacity(n_tasks);
     for i in 0..n_tasks {
         let (a, b) = ep.span_of_task(i);
         let o = ep.offset_of_task(i);
         for (k, j) in (a..b).enumerate() {
             caps[o + k] = ep.delta_of_sub(j);
         }
+        let task_caps = &caps[o..o + (b - a)];
+        prox_consts.push(ProxConsts::new(task_caps, ep.work_of_task(i), gamma, alpha));
     }
 
     // Primal start: consensus variable z (always feasible). The cold
@@ -282,8 +289,7 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
                     &v[r.clone()],
                     &caps[r.clone()],
                     &rho_of[r],
-                    ep.work_of_task(i),
-                    gamma,
+                    prox_consts[i],
                     alpha,
                     p0,
                     *last,
@@ -570,7 +576,18 @@ fn work_proportional_point(ep: &EnergyProgram) -> Vec<f64> {
 
 /// Blockwise ρ-weighted projection onto the feasible polytope: per
 /// subinterval `j`, minimize `Σ_k ρ_k (z_k − w_k)²` subject to
-/// `0 ≤ z_k ≤ Δ_j` and `Σ_k z_k ≤ m·Δ_j`.
+/// `0 ≤ z_k ≤ Δ_j` and `Σ_k z_k ≤ m·Δ_j`; one [`project_block`] each.
+fn weighted_project(ep: &EnergyProgram, w: &[f64], rho: &[f64], out: &mut [f64]) {
+    let mut events = Vec::new();
+    for j in 0..ep.subinterval_count() {
+        let delta = ep.delta_of_sub(j);
+        let budget = ep.cores as f64 * delta;
+        project_block(ep.vars_of_sub(j), delta, budget, w, rho, &mut events, out);
+    }
+}
+
+/// One block of [`weighted_project`]: the flat variables `vars`, all with
+/// cap `delta`, share `budget`.
 ///
 /// KKT gives `z_k = clamp(w_k − θ/ρ_k, 0, Δ_j)` with `θ ≥ 0` the
 /// multiplier of the budget constraint (`θ = 0` when the clamped point
@@ -581,74 +598,97 @@ fn work_proportional_point(ep: &EnergyProgram) -> Vec<f64> {
 /// crosses the budget. Exactness matters: with curvature-matched weights
 /// spanning `RHO_TASK_MIN..RHO_TASK_MAX`, a bisected `θ` accurate to
 /// 1e-13 relative would still leave O(θ_err/ρ_k) coordinate error on the
-/// smallest weights. The sweep is a fixed deterministic order (ties
-/// broken by bit pattern then index), so results are byte-identical
-/// across runs and worker counts.
-fn weighted_project(ep: &EnergyProgram, w: &[f64], rho: &[f64], out: &mut [f64]) {
-    let mut events: Vec<(f64, usize, f64)> = Vec::new();
-    for j in 0..ep.subinterval_count() {
-        let vars = ep.vars_of_sub(j);
-        if vars.is_empty() {
-            continue;
+/// smallest weights.
+///
+/// The sweep order is fixed: every breakpoint is `> 0` (or `+∞`), so it
+/// is sorted by its bit pattern, then by flat index, then by slope change
+/// (`total_cmp`; only an un-cap and a zero event of the same variable can
+/// tie on the first two, and the un-cap, whose change is negative, goes
+/// first). No two distinct events compare equal, so the unstable sort is
+/// deterministic and results are byte-identical across runs and worker
+/// counts. `events` is the caller's reusable buffer.
+///
+/// # Panics
+/// On a NaN breakpoint ("finite breakpoints").
+fn project_block(
+    vars: &[usize],
+    delta: f64,
+    budget: f64,
+    w: &[f64],
+    rho: &[f64],
+    events: &mut Vec<(u64, usize, f64)>,
+    out: &mut [f64],
+) {
+    let mut s0 = 0.0_f64;
+    for &k in vars {
+        let y = w[k].clamp(0.0, delta);
+        out[k] = y;
+        s0 += y;
+    }
+    if s0 <= budget {
+        return;
+    }
+    // Breakpoint sweep. Slope of S on the current segment is
+    // −Σ 1/ρ_k over shares strictly between their bounds.
+    events.clear();
+    let mut slope = 0.0_f64;
+    for &k in vars {
+        let t_uncap = rho[k] * (w[k] - delta);
+        let t_zero = rho[k] * w[k];
+        if t_zero <= 0.0 {
+            continue; // w_k ≤ 0: zero for every θ ≥ 0.
         }
-        let delta = ep.delta_of_sub(j);
-        let budget = ep.cores as f64 * delta;
-        let mut s0 = 0.0_f64;
-        for &k in vars {
-            s0 += w[k].clamp(0.0, delta);
+        assert!(!t_zero.is_nan(), "finite breakpoints");
+        let inv = 1.0 / rho[k];
+        if t_uncap > 0.0 {
+            // Capped at θ = 0; becomes active at t_uncap.
+            events.push((t_uncap.to_bits(), k, -inv));
+        } else {
+            // Active at θ = 0.
+            slope -= inv;
         }
-        if s0 <= budget {
-            for &k in vars {
-                out[k] = w[k].clamp(0.0, delta);
-            }
-            continue;
+        events.push((t_zero.to_bits(), k, inv));
+    }
+    events.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.total_cmp(&b.2)));
+    let mut theta = 0.0_f64;
+    let mut s = s0;
+    let mut found = None;
+    for &(t, _, ds) in events.iter() {
+        let t = f64::from_bits(t);
+        let s_next = s + slope * (t - theta);
+        if s_next <= budget && slope < 0.0 {
+            found = Some(theta + (budget - s) / slope);
+            break;
         }
-        // Breakpoint sweep. Slope of S on the current segment is
-        // −Σ 1/ρ_k over shares strictly between their bounds.
-        events.clear();
-        let mut slope = 0.0_f64;
-        for &k in vars {
-            let t_uncap = rho[k] * (w[k] - delta);
-            let t_zero = rho[k] * w[k];
-            if t_zero <= 0.0 {
-                continue; // w_k ≤ 0: zero for every θ ≥ 0.
-            }
-            if t_uncap > 0.0 {
-                // Capped at θ = 0; becomes active at t_uncap.
-                events.push((t_uncap, k, -1.0 / rho[k]));
-            } else {
-                // Active at θ = 0.
-                slope -= 1.0 / rho[k];
-            }
-            events.push((t_zero, k, 1.0 / rho[k]));
-        }
-        events.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite breakpoints")
-                .then(a.1.cmp(&b.1))
-                .then(a.2.partial_cmp(&b.2).expect("finite slopes"))
-        });
-        let mut theta = 0.0_f64;
-        let mut s = s0;
-        let mut found = None;
-        for &(t, _, ds) in &events {
-            let s_next = s + slope * (t - theta);
-            if s_next <= budget && slope < 0.0 {
-                found = Some(theta + (budget - s) / slope);
-                break;
-            }
-            s = s_next;
-            theta = t;
-            slope += ds;
-        }
-        let theta = match found {
-            Some(t) => t,
-            // S(θ) reaches 0 at the last breakpoint, and budget ≥ 0, so
-            // a crossing segment always exists unless budget is exactly 0.
-            None => events.last().map(|e| e.0).unwrap_or(0.0),
-        };
-        for &k in vars {
-            out[k] = (w[k] - theta / rho[k]).clamp(0.0, delta);
+        s = s_next;
+        theta = t;
+        slope += ds;
+    }
+    let theta = match found {
+        Some(t) => t,
+        // S(θ) reaches 0 at the last breakpoint, and budget ≥ 0, so
+        // a crossing segment always exists unless budget is exactly 0.
+        None => events.last().map_or(0.0, |e| f64::from_bits(e.0)),
+    };
+    for &k in vars {
+        out[k] = (w[k] - theta / rho[k]).clamp(0.0, delta);
+    }
+}
+
+/// The per-task constants of [`task_prox`], fixed for a whole solve.
+#[derive(Clone, Copy)]
+struct ProxConsts {
+    /// `Σ_k caps_k`, the task's total box.
+    cap_sum: f64,
+    /// `cpow = γ(α−1)·c^α`, so that `φ'(X) = p₀ − cpow·X^−α`.
+    cpow: f64,
+}
+
+impl ProxConsts {
+    fn new(caps: &[f64], work: f64, gamma: f64, alpha: f64) -> Self {
+        Self {
+            cap_sum: caps.iter().sum(),
+            cpow: gamma * (alpha - 1.0) * work.powf(alpha),
         }
     }
 }
@@ -658,7 +698,7 @@ fn weighted_project(ep: &EnergyProgram, w: &[f64], rho: &[f64], out: &mut [f64])
 ///
 /// Stationarity gives `x_k = clamp(v_k − t/ρ_k, 0, caps_k)` where
 /// `t = φ'(X)` is the task's marginal power, and the self-consistency
-/// condition `t = p₀ − cpow·S(t)^−α` (`cpow = γ(α−1)c^α`,
+/// condition `t = p₀ − cpow·S(t)^−α` (`cpow = γ(α−1)c^α`, from `consts`,
 /// `S(t) = Σ_k clamp(v_k − t/ρ_k, 0, caps_k)`) is solved **in `t`-space**,
 /// where a `t` error of `ε` moves every coordinate by at most `ε/ρ_k`.
 /// The alternative parametrization in `X = Σx` is numerically
@@ -703,8 +743,7 @@ fn task_prox(
     v: &[f64],
     caps: &[f64],
     rho: &[f64],
-    work: f64,
-    gamma: f64,
+    consts: ProxConsts,
     alpha: f64,
     p0: f64,
     start: f64,
@@ -713,14 +752,13 @@ fn task_prox(
     if l == 0 {
         return None;
     }
-    let cap_sum: f64 = caps.iter().sum();
-    if cap_sum <= 0.0 {
+    if consts.cap_sum <= 0.0 {
         for xk in x.iter_mut() {
             *xk = 0.0;
         }
         return None;
     }
-    let cpow = gamma * (alpha - 1.0) * work.powf(alpha);
+    let cpow = consts.cpow;
     if cpow <= 0.0 {
         // Zero-work task: φ' ≡ p₀ and the prox is a plain shifted clamp.
         for k in 0..l {
@@ -883,8 +921,7 @@ mod tests {
             &v,
             &caps,
             &[rho; 3],
-            work,
-            gamma,
+            ProxConsts::new(&caps, work, gamma, alpha),
             alpha,
             p0,
             f64::NAN,
@@ -1011,7 +1048,8 @@ mod tests {
                 _ => f64::NAN,
             };
             let mut xn = vec![f64::NAN; l];
-            let tn = task_prox(&mut xn, &v, &caps, &rho, work, 1.0, alpha, p0, start);
+            let consts = ProxConsts::new(&caps, work, 1.0, alpha);
+            let tn = task_prox(&mut xn, &v, &caps, &rho, consts, alpha, p0, start);
             let (Some(tb), Some(tn)) = (tb, tn) else {
                 assert_eq!(tb, tn, "case {case}: shortcut disagrees");
                 assert_eq!(xb, xn, "case {case}: shortcut point differs");
@@ -1043,6 +1081,165 @@ mod tests {
         assert!(
             solved >= 5_000 && warm >= 2_000,
             "solved {solved}, warm {warm}"
+        );
+    }
+
+    /// Reference sweep: the arithmetic of [`project_block`] with a stable
+    /// `sort_by` over `partial_cmp` on the breakpoint, then the index,
+    /// then the slope change.
+    fn project_block_reference(
+        vars: &[usize],
+        delta: f64,
+        budget: f64,
+        w: &[f64],
+        rho: &[f64],
+        out: &mut [f64],
+    ) {
+        let mut s0 = 0.0_f64;
+        for &k in vars {
+            s0 += w[k].clamp(0.0, delta);
+        }
+        if s0 <= budget {
+            for &k in vars {
+                out[k] = w[k].clamp(0.0, delta);
+            }
+            return;
+        }
+        let mut events: Vec<(f64, usize, f64)> = Vec::new();
+        let mut slope = 0.0_f64;
+        for &k in vars {
+            let t_uncap = rho[k] * (w[k] - delta);
+            let t_zero = rho[k] * w[k];
+            if t_zero <= 0.0 {
+                continue;
+            }
+            if t_uncap > 0.0 {
+                events.push((t_uncap, k, -1.0 / rho[k]));
+            } else {
+                slope -= 1.0 / rho[k];
+            }
+            events.push((t_zero, k, 1.0 / rho[k]));
+        }
+        events.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("finite breakpoints")
+                .then(a.1.cmp(&b.1))
+                .then(a.2.partial_cmp(&b.2).expect("finite slopes"))
+        });
+        let mut theta = 0.0_f64;
+        let mut s = s0;
+        let mut found = None;
+        for &(t, _, ds) in &events {
+            let s_next = s + slope * (t - theta);
+            if s_next <= budget && slope < 0.0 {
+                found = Some(theta + (budget - s) / slope);
+                break;
+            }
+            s = s_next;
+            theta = t;
+            slope += ds;
+        }
+        let theta = match found {
+            Some(t) => t,
+            None => events.last().map(|e| e.0).unwrap_or(0.0),
+        };
+        for &k in vars {
+            out[k] = (w[k] - theta / rho[k]).clamp(0.0, delta);
+        }
+    }
+
+    /// Runs both sweeps on one block and requires equal bits.
+    fn assert_block_matches(case: usize, delta: f64, budget: f64, w: &[f64], rho: &[f64]) {
+        let vars: Vec<usize> = (0..w.len()).collect();
+        let mut events = Vec::new();
+        let mut got = vec![f64::NAN; w.len()];
+        project_block(&vars, delta, budget, w, rho, &mut events, &mut got);
+        let mut want = vec![f64::NAN; w.len()];
+        project_block_reference(&vars, delta, budget, w, rho, &mut want);
+        let (got, want): (Vec<u64>, Vec<u64>) = (
+            got.iter().map(|y| y.to_bits()).collect(),
+            want.iter().map(|y| y.to_bits()).collect(),
+        );
+        assert_eq!(got, want, "case {case}: delta {delta:e}, budget {budget:e}");
+    }
+
+    #[test]
+    fn integer_keyed_sweep_matches_the_comparator_sweep_bit_for_bit() {
+        let mut state = 0x0b10_c4ed_5eed_0001_u64;
+        let mut binding = 0usize;
+        let blocks = 24_000;
+        for case in 0..blocks {
+            let rng = &mut state;
+            let l = 1 + (unit(rng) * 48.0) as usize;
+            let delta = match case % 4 {
+                0 => 1e-9 * (1.0 + unit(rng)),
+                1 => 2f64.powi((unit(rng) * 8.0) as i32 - 4),
+                _ => 0.01 + 10.0 * unit(rng),
+            };
+            // Budget: 0, up to every share capped, or slack.
+            let cores = match case % 7 {
+                0 => 0,
+                6 => l + 1,
+                _ => 1 + (unit(rng) * l as f64) as usize,
+            };
+            let budget = cores as f64 * delta;
+            // Δ̄/Δ scale shared by the block, ρ_i per variable.
+            let scale = 10f64.powf(-3.0 + 6.0 * unit(rng));
+            let all_capped = case % 11 == 0;
+            // Mostly variables whose two breakpoints coincide.
+            let tie_heavy = case % 13 == 5;
+            let mut w = vec![0.0; l];
+            let mut rho = vec![0.0; l];
+            for k in 0..l {
+                rho[k] = 10f64.powf(-4.0 + 10.0 * unit(rng)) * scale;
+                let kind = if tie_heavy && unit(rng) < 0.7 {
+                    3
+                } else {
+                    (unit(rng) * 9.0) as usize
+                };
+                w[k] = match (all_capped, kind) {
+                    (true, _) | (false, 0) => delta * (1.0 + 3.0 * unit(rng)),
+                    (false, 1) => -delta * unit(rng),
+                    (false, 2) => [0.0, -0.0, delta][(unit(rng) * 3.0) as usize],
+                    // Δ below an ulp of w: t_uncap == t_zero.
+                    (false, 3) => delta * 2f64.powi(54 + (unit(rng) * 8.0) as i32),
+                    _ => delta * unit(rng),
+                };
+                // Exact breakpoint ties across variables: another
+                // variable's zero point, or its un-cap point.
+                if k > 0 && unit(rng) < 0.25 {
+                    let o = (unit(rng) * k as f64) as usize;
+                    rho[k] = rho[o];
+                    w[k] = if unit(rng) < 0.5 { w[o] } else { w[o] - delta };
+                }
+            }
+            let s0: f64 = w.iter().map(|y| y.clamp(0.0, delta)).sum();
+            binding += usize::from(s0 > budget);
+            assert_block_matches(case, delta, budget, &w, &rho);
+        }
+        assert!(binding >= 10_000, "only {binding} binding blocks");
+    }
+
+    #[test]
+    fn sweep_sorts_an_infinite_breakpoint() {
+        let w = [f64::INFINITY, 0.5, 0.75, 2.0];
+        let rho = [1.0, 2.0, 0.5, 1e6];
+        assert_block_matches(0, 1.0, 1.5, &w, &rho);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite breakpoints")]
+    fn sweep_rejects_a_nan_breakpoint() {
+        let w = [0.5, f64::NAN, 0.75];
+        let mut out = [0.0; 3];
+        project_block(
+            &[0, 1, 2],
+            1.0,
+            1.0,
+            &w,
+            &[1.0; 3],
+            &mut Vec::new(),
+            &mut out,
         );
     }
 }

@@ -28,7 +28,7 @@
 // zips would obscure the numerics. Silence clippy's range-loop lint here.
 #![allow(clippy::needless_range_loop)]
 
-use crate::projection::{lmo_capped_simplex, project_capped_simplex};
+use crate::projection::project_onto_budget;
 use esched_subinterval::Timeline;
 use esched_types::{PolynomialPower, TaskSet};
 
@@ -44,10 +44,12 @@ pub(crate) const X_FLOOR: f64 = 1e-9;
 pub struct EnergyProgram {
     /// Number of cores `m`.
     pub cores: usize,
-    /// Power model (continuous).
-    pub power: PolynomialPower,
+    /// Power model (continuous). Private: `works_pow` is derived from it.
+    power: PolynomialPower,
     /// `C_i` per task.
     works: Vec<f64>,
+    /// `C_i^α` per task, cached for the objective and gradient.
+    works_pow: Vec<f64>,
     /// `Δ_j` per subinterval.
     deltas: Vec<f64>,
     /// Per-task contiguous range of subinterval indices (from the
@@ -70,6 +72,7 @@ impl EnergyProgram {
     pub fn new(tasks: &TaskSet, timeline: &Timeline, cores: usize, power: PolynomialPower) -> Self {
         assert!(cores > 0);
         let works: Vec<f64> = tasks.tasks().iter().map(|t| t.wcec).collect();
+        let works_pow = works.iter().map(|c| c.powf(power.alpha)).collect();
         let deltas: Vec<f64> = (0..timeline.len()).map(|j| timeline.delta(j)).collect();
         let mut spans = Vec::with_capacity(tasks.len());
         let mut offsets = Vec::with_capacity(tasks.len());
@@ -91,6 +94,7 @@ impl EnergyProgram {
             cores,
             power,
             works,
+            works_pow,
             deltas,
             spans,
             offsets,
@@ -181,9 +185,9 @@ impl EnergyProgram {
     pub fn objective(&self, x: &[f64]) -> f64 {
         let a = self.power.alpha;
         let mut e = 0.0;
-        for (i, &c) in self.works.iter().enumerate() {
+        for (i, &ca) in self.works_pow.iter().enumerate() {
             let xi = self.total_time(x, i).max(X_FLOOR);
-            e += self.power.gamma * c.powf(a) / xi.powf(a - 1.0) + self.power.p0 * xi;
+            e += self.power.gamma * ca / xi.powf(a - 1.0) + self.power.p0 * xi;
         }
         e
     }
@@ -194,11 +198,11 @@ impl EnergyProgram {
     pub fn gradient(&self, x: &[f64], g: &mut [f64]) {
         assert_eq!(g.len(), self.dim);
         let a = self.power.alpha;
-        for (i, &c) in self.works.iter().enumerate() {
+        for (i, &ca) in self.works_pow.iter().enumerate() {
             let (s0, s1) = self.spans[i];
             let o = self.offsets[i];
             let xi = self.total_time(x, i).max(X_FLOOR);
-            let gi = -self.power.gamma * (a - 1.0) * c.powf(a) / xi.powf(a) + self.power.p0;
+            let gi = -self.power.gamma * (a - 1.0) * ca / xi.powf(a) + self.power.p0;
             for k in 0..(s1 - s0) {
                 g[o + k] = gi;
             }
@@ -209,49 +213,70 @@ impl EnergyProgram {
     pub fn project(&self, z: &[f64], out: &mut [f64]) {
         assert_eq!(z.len(), self.dim);
         assert_eq!(out.len(), self.dim);
-        // Scratch buffers per block; blocks are small (≤ n), reuse one.
+        // Caps are uniform per block (`Δ_j`), so the box clamp and its sum
+        // go straight into `out`; only a block whose budget binds is staged
+        // for the multiplier search. Both buffers stay unallocated while
+        // no budget binds.
         let mut zb: Vec<f64> = Vec::new();
-        let mut ub: Vec<f64> = Vec::new();
         let mut ob: Vec<f64> = Vec::new();
         for (j, vars) in self.block_vars.iter().enumerate() {
-            if vars.is_empty() {
+            let delta = self.deltas[j];
+            let cap = self.cores as f64 * delta;
+            let mut sum = 0.0;
+            for &k in vars {
+                let y = z[k].max(0.0).min(delta);
+                out[k] = y;
+                sum += y;
+            }
+            if sum <= cap {
                 continue;
             }
-            let delta = self.deltas[j];
             zb.clear();
-            ub.clear();
             zb.extend(vars.iter().map(|&k| z[k]));
-            ub.extend(std::iter::repeat_n(delta, vars.len()));
-            ob.clear();
             ob.resize(vars.len(), 0.0);
-            project_capped_simplex(&zb, &ub, self.cores as f64 * delta, &mut ob);
-            for (&k, &v) in vars.iter().zip(&ob) {
-                out[k] = v;
+            project_onto_budget(&zb, |_| delta, cap, &mut ob);
+            for (&k, &y) in vars.iter().zip(&ob) {
+                out[k] = y;
             }
         }
     }
 
     /// Linear-minimization oracle over the feasible polytope (blockwise).
+    ///
+    /// Per subinterval, fill the most negative gradients first, each up to
+    /// `Δ_j`, until the budget `m·Δ_j` is spent; everything else is 0.
+    /// Only negative gradients are sorted, keyed by their inverted bit
+    /// pattern (a negative float's bits grow with its magnitude) and then by
+    /// flat index, which ascends with the position in the block: the order
+    /// of a stable ascending sort of the whole block, without its ±0 and
+    /// positive entries, which are never filled.
+    ///
+    /// # Panics
+    /// On a NaN gradient.
     pub fn lmo(&self, g: &[f64], out: &mut [f64]) {
         assert_eq!(g.len(), self.dim);
         assert_eq!(out.len(), self.dim);
-        let mut gb: Vec<f64> = Vec::new();
-        let mut ub: Vec<f64> = Vec::new();
-        let mut ob: Vec<f64> = Vec::new();
+        let mut fill: Vec<(u64, usize)> = Vec::new();
         for (j, vars) in self.block_vars.iter().enumerate() {
-            if vars.is_empty() {
-                continue;
+            fill.clear();
+            for &k in vars {
+                out[k] = 0.0;
+                let gk = g[k];
+                assert!(!gk.is_nan(), "finite gradient");
+                if gk < 0.0 {
+                    fill.push((!gk.to_bits(), k));
+                }
             }
+            fill.sort_unstable();
             let delta = self.deltas[j];
-            gb.clear();
-            ub.clear();
-            gb.extend(vars.iter().map(|&k| g[k]));
-            ub.extend(std::iter::repeat_n(delta, vars.len()));
-            ob.clear();
-            ob.resize(vars.len(), 0.0);
-            lmo_capped_simplex(&gb, &ub, self.cores as f64 * delta, &mut ob);
-            for (&k, &v) in vars.iter().zip(&ob) {
-                out[k] = v;
+            let mut budget = self.cores as f64 * delta;
+            for &(_, k) in &fill {
+                if budget <= 0.0 {
+                    break;
+                }
+                let take = delta.min(budget);
+                out[k] = take;
+                budget -= take;
             }
         }
     }
@@ -361,6 +386,8 @@ impl EnergyProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::projection::{lmo_capped_simplex, project_capped_simplex};
+    use esched_obs::rng::ChaCha8;
     use esched_subinterval::Timeline;
     use esched_types::TaskSet;
 
@@ -477,6 +504,134 @@ mod tests {
         let tt = ep.total_times(&x);
         for (i, &t) in tt.iter().enumerate() {
             assert!((t - ep.total_time(&x, i)).abs() < 1e-12);
+        }
+    }
+
+    /// A random program: up to 12 tasks on one to four cores, with
+    /// release times on a coarse grid so windows share boundaries, and a
+    /// random `γ` so no factor of the objective is an exact 1.
+    fn random_program(rng: &mut ChaCha8) -> EnergyProgram {
+        let n = rng.gen_range_usize(1, 13);
+        let triples: Vec<(f64, f64, f64)> = (0..n)
+            .map(|_| {
+                let r = rng.gen_range_usize(0, 8) as f64 * 1.5;
+                let len = rng.gen_range_f64(0.5, 12.0);
+                (r, r + len, len * rng.gen_range_f64(0.0, 1.5))
+            })
+            .collect();
+        let ts = TaskSet::from_triples(&triples);
+        let tl = Timeline::build(&ts);
+        let alpha = [2.0, 2.5, 3.0][rng.gen_range_usize(0, 3)];
+        let gamma = rng.gen_range_f64(0.1, 3.0);
+        let power = PolynomialPower::new(gamma, alpha, rng.gen_range_f64(0.0, 0.3)).unwrap();
+        EnergyProgram::new(&ts, &tl, rng.gen_range_usize(1, 5), power)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|y| y.to_bits()).collect()
+    }
+
+    /// Reference LMO: every block staged and handed to the slice-based
+    /// greedy fill.
+    fn lmo_reference(ep: &EnergyProgram, g: &[f64], out: &mut [f64]) {
+        for (j, vars) in ep.block_vars.iter().enumerate() {
+            let delta = ep.deltas[j];
+            let gb: Vec<f64> = vars.iter().map(|&k| g[k]).collect();
+            let mut ob = vec![0.0; vars.len()];
+            lmo_capped_simplex(&gb, &vec![delta; vars.len()], ep.capacity(j), &mut ob);
+            for (&k, &v) in vars.iter().zip(&ob) {
+                out[k] = v;
+            }
+        }
+    }
+
+    /// Reference projection: every block staged with a slice of caps.
+    fn project_reference(ep: &EnergyProgram, z: &[f64], out: &mut [f64]) {
+        for (j, vars) in ep.block_vars.iter().enumerate() {
+            let delta = ep.deltas[j];
+            let zb: Vec<f64> = vars.iter().map(|&k| z[k]).collect();
+            let mut ob = vec![0.0; vars.len()];
+            project_capped_simplex(&zb, &vec![delta; vars.len()], ep.capacity(j), &mut ob);
+            for (&k, &v) in vars.iter().zip(&ob) {
+                out[k] = v;
+            }
+        }
+    }
+
+    #[test]
+    fn lmo_and_projection_match_the_staged_oracles_bit_for_bit() {
+        let mut rng = ChaCha8::seed_from_u64(0x1a0_0b17);
+        let mut blocks = 0usize;
+        for _ in 0..300 {
+            let ep = random_program(&mut rng);
+            let dim = ep.dim();
+            for round in 0..40 {
+                // Gradients from a small pool so ties are common, with
+                // ±0, tiny, huge and infinite negatives among them.
+                let pool = [
+                    -1.0,
+                    -0.5,
+                    -0.5,
+                    -0.0,
+                    0.0,
+                    0.25,
+                    -f64::MIN_POSITIVE,
+                    -5e-324,
+                    -f64::MAX,
+                    f64::NEG_INFINITY,
+                    f64::INFINITY,
+                ];
+                let g: Vec<f64> = (0..dim)
+                    .map(|_| match round % 3 {
+                        0 => pool[rng.gen_range_usize(0, pool.len())],
+                        1 => rng.gen_range_f64(-2.0, 2.0),
+                        _ => -(rng.gen_range_usize(1, 4) as f64),
+                    })
+                    .collect();
+                let (mut got, mut want) = (vec![f64::NAN; dim], vec![f64::NAN; dim]);
+                ep.lmo(&g, &mut got);
+                lmo_reference(&ep, &g, &mut want);
+                assert_eq!(bits(&got), bits(&want), "lmo, g = {g:?}");
+
+                let z: Vec<f64> = (0..dim).map(|_| rng.gen_range_f64(-2.0, 8.0)).collect();
+                ep.project(&z, &mut got);
+                project_reference(&ep, &z, &mut want);
+                assert_eq!(bits(&got), bits(&want), "project, z = {z:?}");
+                blocks += ep.subinterval_count();
+            }
+        }
+        assert!(blocks >= 10_000, "only {blocks} blocks");
+    }
+
+    #[test]
+    #[should_panic(expected = "finite gradient")]
+    fn lmo_rejects_a_nan_gradient() {
+        let (ep, _) = intro_program(2, 3.0, 0.01);
+        let mut g = vec![-1.0; ep.dim()];
+        g[3] = f64::NAN;
+        ep.lmo(&g, &mut vec![0.0; ep.dim()]);
+    }
+
+    #[test]
+    fn cached_work_powers_match_the_uncached_formulas_bit_for_bit() {
+        let mut rng = ChaCha8::seed_from_u64(0xca_c4ed);
+        for _ in 0..300 {
+            let ep = random_program(&mut rng);
+            let (gamma, a, p0) = ep.power_parameters();
+            let x: Vec<f64> = (0..ep.dim()).map(|_| rng.gen_range_f64(0.0, 2.0)).collect();
+            let mut e = 0.0;
+            let mut want = vec![0.0; ep.dim()];
+            for (i, &c) in ep.works.iter().enumerate() {
+                let xi = ep.total_time(&x, i).max(X_FLOOR);
+                e += gamma * c.powf(a) / xi.powf(a - 1.0) + p0 * xi;
+                let gi = -gamma * (a - 1.0) * c.powf(a) / xi.powf(a) + p0;
+                let (s0, s1) = ep.spans[i];
+                want[ep.offsets[i]..ep.offsets[i] + (s1 - s0)].fill(gi);
+            }
+            assert_eq!(ep.objective(&x).to_bits(), e.to_bits());
+            let mut got = vec![f64::NAN; ep.dim()];
+            ep.gradient(&x, &mut got);
+            assert_eq!(bits(&got), bits(&want));
         }
     }
 }

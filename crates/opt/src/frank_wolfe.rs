@@ -2,7 +2,7 @@
 //!
 //! Projection-free: each iteration calls the exact linear-minimization
 //! oracle over the product of capped simplices (a greedy fill,
-//! [`crate::projection::lmo_capped_simplex`]) and moves toward the
+//! [`EnergyProgram::lmo`]) and moves toward the
 //! returned vertex with a golden-section line search. Slower asymptotics
 //! than FISTA (`O(1/k)`), but every iterate is a convex combination of
 //! polytope vertices, the duality gap comes for free, and it cross-checks

@@ -11,8 +11,8 @@
 //!
 //! * [`energy_program`] — the reformulated program (variables `x_{i,j}`,
 //!   blockwise capped-simplex feasible set, objective/gradient oracle),
-//! * [`projection`] — exact Euclidean projection and linear-minimization
-//!   oracle for one capped-simplex block,
+//! * [`projection`] — exact Euclidean projection onto one capped-simplex
+//!   block,
 //! * [`gradient`] / [`fista`] / [`frank_wolfe`] — three independent
 //!   first-order solvers (cross-checked in tests and ablation benches),
 //! * [`barrier`] — a structure-exploiting primal log-barrier interior
@@ -58,5 +58,5 @@ pub use frank_wolfe::solve_frank_wolfe;
 pub use gradient::solve_pgd;
 pub use kkt::{kkt_report, price_certificate, subinterval_prices, KktReport};
 pub use least_squares::{fit_power_curve, PowerFit};
-pub use projection::{lmo_capped_simplex, project_capped_simplex};
+pub use projection::project_capped_simplex;
 pub use solver::{IterSample, SolveOptions, SolveResult, SolverKind, SolverTelemetry};

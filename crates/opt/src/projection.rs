@@ -41,20 +41,27 @@ pub fn project_capped_simplex(z: &[f64], u: &[f64], cap: f64, out: &mut [f64]) {
     if sum <= cap {
         return; // budget slack: λ = 0, box clamp is the projection.
     }
+    project_onto_budget(z, |k| u[k], cap, out);
+}
 
+/// The binding case of [`project_capped_simplex`]: the box clamp of `z`
+/// overshoots `cap`, so `λ > 0` solves `Σ_k clamp(z_k − λ, 0, u(k)) = cap`.
+/// Writes every coordinate of `out`. `u` maps a position to its cap, so a
+/// caller whose caps are uniform passes a constant instead of a slice.
+pub(crate) fn project_onto_budget(z: &[f64], u: impl Fn(usize) -> f64, cap: f64, out: &mut [f64]) {
     // Σ_k clamp(z_k − λ) is continuous, non-increasing in λ; at λ = 0 it
     // exceeds cap, and at λ = max(z_k) it is 0 ≤ cap. Bisect.
     let lam_hi = z.iter().cloned().fold(0.0_f64, f64::max).max(1e-30);
     let residual = |lam: f64| -> f64 {
         z.iter()
-            .zip(u)
-            .map(|(&zi, &ui)| (zi - lam).max(0.0).min(ui))
+            .enumerate()
+            .map(|(k, &zi)| (zi - lam).max(0.0).min(u(k)))
             .sum::<f64>()
             - cap
     };
     let lam = bisect(residual, 0.0, lam_hi, 1e-14);
-    for ((o, &zi), &ui) in out.iter_mut().zip(z).zip(u) {
-        *o = (zi - lam).max(0.0).min(ui);
+    for (k, (o, &zi)) in out.iter_mut().zip(z).enumerate() {
+        *o = (zi - lam).max(0.0).min(u(k));
     }
     // Exact-budget polish: distribute the tiny bisection residue over the
     // strictly interior coordinates so downstream feasibility checks see
@@ -64,14 +71,14 @@ pub fn project_capped_simplex(z: &[f64], u: &[f64], cap: f64, out: &mut [f64]) {
         let excess = s - cap;
         let interior: f64 = out
             .iter()
-            .zip(u)
-            .filter(|&(&y, &ui)| y > 0.0 && y < ui)
-            .map(|(&y, _)| y)
+            .enumerate()
+            .filter(|&(k, &y)| y > 0.0 && y < u(k))
+            .map(|(_, &y)| y)
             .sum();
         if interior > 0.0 {
             let scale = excess / interior;
-            for (y, &ui) in out.iter_mut().zip(u) {
-                if *y > 0.0 && *y < ui {
+            for (k, y) in out.iter_mut().enumerate() {
+                if *y > 0.0 && *y < u(k) {
                     *y -= *y * scale;
                 }
             }
@@ -84,9 +91,11 @@ pub fn project_capped_simplex(z: &[f64], u: &[f64], cap: f64, out: &mut [f64]) {
 ///
 /// Greedy: sort coordinates by gradient ascending and fill `s_k = u_k`
 /// while the gradient is negative and budget remains. (Positive-gradient
-/// coordinates stay at 0 since the budget constraint is `≤`.) Used by
-/// Frank–Wolfe and to compute certified duality gaps.
-pub fn lmo_capped_simplex(g: &[f64], u: &[f64], cap: f64, out: &mut [f64]) {
+/// coordinates stay at 0 since the budget constraint is `≤`.) The oracle
+/// that [`crate::EnergyProgram::lmo`], which sorts only the negative
+/// gradients, is tested against bit for bit.
+#[cfg(test)]
+pub(crate) fn lmo_capped_simplex(g: &[f64], u: &[f64], cap: f64, out: &mut [f64]) {
     assert_eq!(g.len(), u.len());
     assert_eq!(g.len(), out.len());
     out.fill(0.0);

@@ -2,8 +2,8 @@
 
 use esched_obs::rng::ChaCha8;
 use esched_opt::{
-    feasible_at_frequency, lmo_capped_simplex, min_frequency_by_flow, project_capped_simplex,
-    solve_pgd, EnergyProgram, SolveOptions,
+    feasible_at_frequency, min_frequency_by_flow, project_capped_simplex, solve_pgd, EnergyProgram,
+    SolveOptions,
 };
 use esched_subinterval::Timeline;
 use esched_types::{PolynomialPower, Task, TaskSet};
@@ -88,20 +88,31 @@ fn projection_is_nonexpansive() {
 fn lmo_beats_random_feasible_points() {
     let mut rng = ChaCha8::seed_from_u64(0x0b70_0003);
     for _ in 0..CASES {
-        let g = arb_vec(&mut rng, -2.0, 2.0, 2, 10);
-        let n = g.len();
-        let cap_frac = rng.gen_range_f64(0.1, 1.0);
-        let u = vec![1.0; n];
-        let cap = cap_frac * n as f64 * 0.6;
-        let mut s = vec![0.0; n];
-        lmo_capped_simplex(&g, &u, cap, &mut s);
+        let tasks = arb_task_set(&mut rng, 8);
+        let cores = rng.gen_range_usize(1, 4);
+        let tl = Timeline::build(&tasks);
+        let ep = EnergyProgram::new(&tasks, &tl, cores, PolynomialPower::paper(3.0, 0.1));
+        let g: Vec<f64> = (0..ep.dim())
+            .map(|_| rng.gen_range_f64(-2.0, 2.0))
+            .collect();
+        let mut s = vec![0.0; ep.dim()];
+        ep.lmo(&g, &mut s);
+        assert!(ep.is_feasible(&s, 1e-12));
         let s_val: f64 = g.iter().zip(&s).map(|(a, b)| a * b).sum();
-        // Candidate: scaled random mix kept feasible.
-        let mut y: Vec<f64> = (0..n).map(|_| rng.gen_range_f64(0.0, 1.0)).collect();
-        let ysum: f64 = y.iter().sum();
-        if ysum > cap {
-            for v in &mut y {
-                *v *= cap / ysum;
+        // Candidate: a random point in the box, scaled per subinterval
+        // into its capacity.
+        let mut y = vec![0.0; ep.dim()];
+        for j in 0..ep.subinterval_count() {
+            let vars = ep.vars_of_sub(j);
+            let delta = ep.delta_of_sub(j);
+            for &k in vars {
+                y[k] = rng.gen_range_f64(0.0, delta);
+            }
+            let ysum: f64 = vars.iter().map(|&k| y[k]).sum();
+            if ysum > ep.capacity(j) {
+                for &k in vars {
+                    y[k] *= ep.capacity(j) / ysum;
+                }
             }
         }
         let y_val: f64 = g.iter().zip(&y).map(|(a, b)| a * b).sum();
