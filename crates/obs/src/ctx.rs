@@ -24,8 +24,9 @@
 //!    still known — this is what lets a post-mortem dump name the failing
 //!    request;
 //! 5. a [`crate::pool::Pool`] thread running part of a request (an
-//!    allocation chunk, one of the two refinement builds) re-enters the
-//!    submitting thread's id for the duration of the batch or join.
+//!    allocation chunk, one of the two refinement builds, a solver team
+//!    member) re-enters the submitting thread's id for the duration of
+//!    the batch, join or team.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

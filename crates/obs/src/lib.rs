@@ -54,9 +54,10 @@
 //! * [`pool`] — the std-only work-stealing thread pool every parallel
 //!   consumer shares: `esched-engine` for whole requests, `esched-core`'s
 //!   allocator for heavy subinterval ranges, and `esched-opt`'s
-//!   decomposed ADMM solver for per-task subproblems
-//!   ([`pool::Pool::scoped_run`]). It lives here, below the algorithm
-//!   crates, precisely so `esched-opt` can use it without a cycle.
+//!   decomposed ADMM solver, which runs every round of a solve on one
+//!   worker team ([`pool::Pool::team`]). It lives here, below the
+//!   algorithm crates, precisely so `esched-opt` can use it without a
+//!   cycle.
 //!
 //! The span hierarchy wired through the workspace (see DESIGN.md,
 //! "Observability"):

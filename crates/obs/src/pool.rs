@@ -19,35 +19,37 @@
 //!   scratch arena as the worker context),
 //! * `esched-core`'s refinement builds one instance's intermediate and
 //!   final schedules side by side ([`Pool::join`]), and
-//! * `esched-opt`'s decomposed ADMM solver fans per-task subproblems
-//!   across it every round ([`Pool::scoped_run`]).
+//! * `esched-opt`'s decomposed ADMM solver runs every round of one solve
+//!   on a worker team started once for that solve ([`Pool::team`]).
 //!
 //! Worker-local state is generic: [`Pool::batch_map_with`] threads a
 //! per-worker context built by a caller-supplied factory through every
-//! job (`esched-core` and `esched-engine` pass `Scratch::new`), while
-//! [`Pool::scoped_run`] is the context-free variant for borrowed-slice
-//! fan-out where a panic should propagate instead of being collected.
-//! Metric names keep the historical `esched.engine.*` prefix —
-//! dashboards and the obs smoke tests predate the moves.
+//! job (`esched-core` and `esched-engine` pass `Scratch::new`), while a
+//! [`Team`] keeps the same workers across many short phases, where
+//! starting threads per phase would cost more than the phase. Metric
+//! names keep the historical `esched.engine.*` prefix — dashboards and
+//! the obs smoke tests predate the moves.
 //!
 //! Every pool thread re-enters the caller's [`RequestScope`], so spans and
 //! flight records emitted inside a job carry the request that submitted
 //! it, not request 0.
 
+use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, RwLock};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 use crate::ctx::{current_request, RequestScope};
 use crate::{metric_counter, metric_gauge, metric_histogram};
 
 /// A batch executor with a fixed worker count.
 ///
-/// The pool is stateless between batches (workers and their contexts live
-/// only for the duration of one batch call), so it is cheap to construct
-/// and freely shareable.
+/// The pool holds no threads: workers and their contexts live only for
+/// the duration of one call (a batch, a join, or a team's body), so it
+/// is cheap to construct and freely shareable.
 #[derive(Debug, Clone)]
 pub struct Pool {
     threads: usize,
@@ -174,32 +176,6 @@ impl Pool {
         out
     }
 
-    /// Fan borrowed jobs across the pool and return the results in
-    /// submission order, re-raising the first (lowest-index) panic on the
-    /// caller.
-    ///
-    /// This is the intra-solve primitive: callers hand out disjoint
-    /// `&mut` slices of one working vector (deterministic chunking), each
-    /// job computes independently of every other, and the merged output
-    /// is byte-identical at any worker count. Unlike
-    /// [`Pool::batch_map_with`] there is no per-worker context and no
-    /// per-job error collection — a panicking subproblem means the solve
-    /// itself is broken, so it propagates.
-    pub fn scoped_run<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(I) -> T + Sync,
-    {
-        let out = self.batch_map_with(|| (), items, |(), item| f(item));
-        out.into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(e) => panic!("scoped_run job {} panicked: {}", e.index, e.message),
-            })
-            .collect()
-    }
-
     /// Run `a` on the calling thread and `b` on one scoped thread, and
     /// return both results. With one worker the two run in sequence, `a`
     /// first. A panic in either closure is re-raised on the caller with
@@ -227,6 +203,66 @@ impl Pool {
                 Ok(rb) => (ra, rb),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
+        })
+    }
+
+    /// Run `body` on the calling thread with a team of
+    /// [`Pool::threads`] members, and return its result.
+    ///
+    /// The team's `threads − 1` workers start once, inside one
+    /// `std::thread::scope`, and serve until `body` returns. `body` drives
+    /// any number of phases through [`Team::run`]: in each, every member
+    /// calls `work(member, phase)` once, the calling thread as member 0.
+    /// `work` is fixed for the team's lifetime, so per-phase inputs reach
+    /// the members through data it borrows, which the caller rewrites
+    /// between phases. A member waiting for the next phase, or the caller
+    /// waiting for the members, polls for about 200 µs, yielding its core
+    /// between polls, and then parks: an oversubscribed team does not
+    /// livelock, and members do not burn a core while the caller works
+    /// alone.
+    ///
+    /// With one thread the team runs inline and spawns nothing. Workers
+    /// re-enter the caller's [`RequestScope`]. A member's panic is caught,
+    /// the other members finish the phase, and [`Team::run`] re-raises it
+    /// on the caller with its payload (member 0's first, then the lowest
+    /// member's). Every worker has been joined when `team` returns or
+    /// unwinds, so no thread outlives the call.
+    pub fn team<P, W, R>(&self, work: W, body: impl FnOnce(&Team<'_, P>) -> R) -> R
+    where
+        P: Copy + Send + Sync,
+        W: Fn(usize, P) + Sync,
+    {
+        let hand = Handoff::default();
+        let request = current_request();
+        let caller = std::thread::current();
+        let others = self.threads - 1;
+        std::thread::scope(|scope| {
+            let mut team = Team {
+                hand: &hand,
+                work: &work,
+                workers: Vec::with_capacity(others),
+            };
+            let mut handles = Vec::with_capacity(others);
+            // A failed spawn unwinds here too, so the workers already
+            // started are stopped before the scope joins them.
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                for member in 1..self.threads {
+                    let (hand, work, caller) = (&hand, &work, &caller);
+                    let handle = scope.spawn(move || {
+                        let _scope = request.map(RequestScope::enter);
+                        hand.serve(member, work, caller, others);
+                    });
+                    team.workers.push(handle.thread().clone());
+                    handles.push(handle);
+                }
+                body(&team)
+            }));
+            hand.stop.store(true, Ordering::SeqCst);
+            team.start();
+            for handle in handles {
+                handle.join().expect("team members catch their own panics");
+            }
+            out.unwrap_or_else(|payload| resume_unwind(payload))
         })
     }
 
@@ -316,6 +352,136 @@ impl Pool {
     }
 }
 
+/// How long a waiting team member polls before it parks: about one ADMM
+/// round on a few hundred tasks, so a running solve's members stay awake
+/// across its hand-offs and sleep through anything longer.
+const TEAM_SPIN: Duration = Duration::from_micros(200);
+
+/// A worker team started by [`Pool::team`]; `body` drives its phases.
+pub struct Team<'a, P> {
+    hand: &'a Handoff<P>,
+    work: &'a (dyn Fn(usize, P) + Sync),
+    workers: Vec<Thread>,
+}
+
+impl<P: Copy> Team<'_, P> {
+    /// Run one phase: every member calls `work(member, phase)`, the caller
+    /// as member 0, and this returns once all have finished. A member's
+    /// panic is re-raised here with its payload, after the others have
+    /// finished the phase.
+    pub fn run(&self, phase: P) {
+        if self.workers.is_empty() {
+            return (self.work)(0, phase);
+        }
+        let hand = self.hand;
+        *hand.phase.write().expect("no lock is held across a panic") = Some(phase);
+        hand.done.store(0, Ordering::SeqCst);
+        self.start();
+        let mine = catch_unwind(AssertUnwindSafe(|| (self.work)(0, phase)));
+        wait_for(|| hand.done.load(Ordering::SeqCst) == self.workers.len());
+        let theirs =
+            std::mem::take(&mut *hand.panics.lock().expect("no lock is held across a panic"));
+        let first = mine.err().or_else(|| {
+            theirs
+                .into_iter()
+                .min_by_key(|&(member, _)| member)
+                .map(|(_, payload)| payload)
+        });
+        if let Some(payload) = first {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Bump the epoch, which releases every worker waiting for it.
+    fn start(&self) {
+        self.hand.epoch.fetch_add(1, Ordering::SeqCst);
+        for worker in &self.workers {
+            worker.unpark();
+        }
+    }
+}
+
+/// The state a team's caller and workers hand phases over through. The
+/// counters are `SeqCst`: a bump of `epoch` publishes the phase argument
+/// and the caller's inputs to the workers, and the last increment of
+/// `done` publishes the workers' outputs to the caller.
+struct Handoff<P> {
+    /// Phases started so far, plus one once the team stops.
+    epoch: AtomicU64,
+    /// The argument of the running phase.
+    phase: RwLock<Option<P>>,
+    /// Workers that have finished the running phase.
+    done: AtomicUsize,
+    /// Set before the last epoch bump: the workers exit instead.
+    stop: AtomicBool,
+    /// Panics caught in the running phase, with their member index.
+    panics: Mutex<Vec<(usize, Box<dyn Any + Send>)>>,
+}
+
+impl<P> Default for Handoff<P> {
+    fn default() -> Self {
+        Self {
+            epoch: AtomicU64::new(0),
+            phase: RwLock::new(None),
+            done: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            panics: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<P: Copy> Handoff<P> {
+    /// A worker's loop: wait for each phase, run `member`'s share of it,
+    /// and wake the caller when the last of the `others` finishes.
+    fn serve(
+        &self,
+        member: usize,
+        work: &(dyn Fn(usize, P) + Sync),
+        caller: &Thread,
+        others: usize,
+    ) {
+        let mut seen = 0u64;
+        loop {
+            wait_for(|| self.epoch.load(Ordering::SeqCst) != seen);
+            seen += 1;
+            if self.stop.load(Ordering::SeqCst) {
+                return;
+            }
+            let phase = self
+                .phase
+                .read()
+                .expect("no lock is held across a panic")
+                .expect("a started phase has an argument");
+            // Caught inside this thread's request scope, so only the
+            // caller's scope stamps the panic, once, as on the inline path.
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| work(member, phase))) {
+                self.panics
+                    .lock()
+                    .expect("no lock is held across a panic")
+                    .push((member, payload));
+            }
+            if self.done.fetch_add(1, Ordering::SeqCst) + 1 == others {
+                caller.unpark();
+            }
+        }
+    }
+}
+
+/// Poll `ready` for up to [`TEAM_SPIN`], yielding the core between polls
+/// to any thread that has work, then park until it holds. The thread that
+/// makes `ready` true unparks this one afterwards, and an unpark that
+/// comes first makes the next park return at once.
+fn wait_for(ready: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !ready() {
+        if start.elapsed() < TEAM_SPIN {
+            std::thread::yield_now();
+        } else {
+            std::thread::park();
+        }
+    }
+}
+
 /// Run one job with panic isolation; used by both the serial path and the
 /// pool workers.
 fn run_job<C, I, T, F, G>(c: &mut C, ctx: &G, f: &F, index: usize, item: I) -> Result<T, PoolError>
@@ -402,40 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_run_merges_disjoint_slices_identically_at_any_width() {
-        let reference: Vec<f64> = (0..1000).map(|k| (k as f64).sin()).collect();
-        let mut outputs = Vec::new();
-        for threads in [1usize, 4, 8] {
-            let pool = Pool::with_threads(threads);
-            let mut x = vec![0.0f64; 1000];
-            {
-                let mut rest = x.as_mut_slice();
-                let mut jobs = Vec::new();
-                let mut base = 0usize;
-                while !rest.is_empty() {
-                    let take = rest.len().min(64);
-                    let (head, tail) = rest.split_at_mut(take);
-                    jobs.push((base, head));
-                    rest = tail;
-                    base += take;
-                }
-                pool.scoped_run(jobs, |(base, slice): (usize, &mut [f64])| {
-                    for (k, v) in slice.iter_mut().enumerate() {
-                        *v = ((base + k) as f64).sin();
-                    }
-                });
-            }
-            outputs.push(x);
-        }
-        for x in &outputs {
-            assert_eq!(
-                x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
     fn join_returns_both_results_at_any_width() {
         for threads in [1usize, 2, 4] {
             let pool = Pool::with_threads(threads);
@@ -478,15 +610,196 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "scoped_run job 1 panicked")]
-    fn scoped_run_propagates_the_first_panic() {
-        let pool = Pool::with_threads(2);
-        let _ = pool.scoped_run(vec![0usize, 1, 2], |i| {
-            if i == 1 {
-                panic!("subproblem diverged");
-            }
-            i
+    /// Counts, through a thread-local's destructor, the threads it was
+    /// set on that have exited. Each test passes its own counter.
+    struct ExitMark(&'static AtomicUsize);
+
+    impl Drop for ExitMark {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    thread_local! {
+        static EXIT_MARK: std::cell::RefCell<Option<ExitMark>> = const { std::cell::RefCell::new(None) };
+    }
+
+    fn mark_exit(counter: &'static AtomicUsize) {
+        EXIT_MARK.with(|m| {
+            m.borrow_mut().get_or_insert_with(|| ExitMark(counter));
         });
+    }
+
+    #[test]
+    fn team_members_fill_disjoint_parts_identically_at_any_width() {
+        let reference: Vec<u64> = (0..3000)
+            .map(|k| ((k % 1000) as f64 + (k / 1000) as f64).sin().to_bits())
+            .collect();
+        for threads in [1usize, 2, 4, 8] {
+            // The caller rewrites `shift` between phases; member p fills
+            // its cut of 1000 values, which the caller gathers.
+            let cuts: Vec<usize> = (0..=threads).map(|p| p * 1000 / threads).collect();
+            let shift = RwLock::new(0.0f64);
+            let parts: Vec<Mutex<Vec<f64>>> = (0..threads)
+                .map(|p| Mutex::new(vec![0.0; cuts[p + 1] - cuts[p]]))
+                .collect();
+            let work = |member: usize, (): ()| {
+                let shift = *shift.read().unwrap();
+                let mut part = parts[member].lock().unwrap();
+                for (k, v) in (cuts[member]..).zip(part.iter_mut()) {
+                    *v = (k as f64 + shift).sin();
+                }
+            };
+            let got = Pool::with_threads(threads).team(work, |team| {
+                let mut got = Vec::new();
+                for round in 0..3 {
+                    *shift.write().unwrap() = round as f64;
+                    team.run(());
+                    for part in &parts {
+                        got.extend(part.lock().unwrap().iter().map(|v| v.to_bits()));
+                    }
+                }
+                got
+            });
+            assert_eq!(got, reference, "{threads} members");
+        }
+    }
+
+    #[test]
+    fn team_of_one_runs_inline() {
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        let work = |member: usize, phase: usize| {
+            seen.lock()
+                .unwrap()
+                .push((member, phase, std::thread::current().id()));
+        };
+        Pool::with_threads(1).team(work, |team| {
+            for phase in 0..5 {
+                team.run(phase);
+            }
+        });
+        let want: Vec<_> = (0..5).map(|phase| (0, phase, caller)).collect();
+        assert_eq!(seen.into_inner().unwrap(), want);
+    }
+
+    #[test]
+    fn team_workers_have_exited_when_the_call_returns() {
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        let caller = std::thread::current().id();
+        let work = |member: usize, (): ()| {
+            if member > 0 {
+                assert_ne!(std::thread::current().id(), caller);
+                mark_exit(&EXITED);
+            }
+        };
+        Pool::with_threads(4).team(work, |team| {
+            team.run(());
+            team.run(());
+        });
+        assert_eq!(EXITED.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn team_reraises_a_member_panic_after_every_member_stopped() {
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        let finished = AtomicUsize::new(0);
+        let work = |member: usize, phase: usize| {
+            if member > 0 {
+                mark_exit(&EXITED);
+            }
+            if phase == 5 && member == 2 {
+                panic!("member 2 failed");
+            }
+            if phase == 5 {
+                finished.fetch_add(1, Ordering::SeqCst);
+            }
+        };
+        let mut ran = 0;
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            Pool::with_threads(4).team(work, |team| {
+                for phase in 0..10 {
+                    team.run(phase);
+                    ran += 1;
+                }
+            })
+        }))
+        .unwrap_err();
+        assert_eq!(panic_message(payload), "member 2 failed");
+        assert_eq!(ran, 5, "the failing phase returned");
+        assert_eq!(finished.load(Ordering::SeqCst), 3, "the others finished it");
+        assert_eq!(
+            EXITED.load(Ordering::SeqCst),
+            3,
+            "a worker outlived the call"
+        );
+    }
+
+    #[test]
+    fn team_reraises_the_lowest_members_panic() {
+        for (failing, want) in [(vec![3, 1], "member 1"), (vec![2, 0], "member 0")] {
+            let work = |member: usize, (): ()| {
+                if failing.contains(&member) {
+                    panic!("member {member}");
+                }
+            };
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                Pool::with_threads(4).team(work, |team| team.run(()))
+            }))
+            .unwrap_err();
+            assert_eq!(panic_message(payload), want);
+        }
+    }
+
+    /// CPU time of the calling thread in clock ticks (utime + stime), where
+    /// Linux's `/proc` reports it.
+    fn thread_cpu_ticks() -> Option<u64> {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+        // Fields after the parenthesised command name; utime and stime are
+        // the 14th and 15th of the whole line.
+        let mut rest = stat[stat.rfind(')')? + 1..].split_whitespace().skip(11);
+        Some(rest.next()?.parse::<u64>().ok()? + rest.next()?.parse::<u64>().ok()?)
+    }
+
+    #[test]
+    fn team_members_park_while_the_caller_works_alone() {
+        let ticks = Mutex::new(Vec::new());
+        let work = |member: usize, (): ()| {
+            if member == 1 {
+                ticks.lock().unwrap().push(thread_cpu_ticks());
+            }
+        };
+        Pool::with_threads(2).team(work, |team| {
+            team.run(());
+            std::thread::sleep(Duration::from_millis(300));
+            team.run(());
+        });
+        let ticks = ticks.into_inner().unwrap();
+        if let [Some(before), Some(after)] = ticks[..] {
+            // A member still polling would run for most of the 300 ms,
+            // 30 ticks at the usual 100 per second.
+            assert!(after - before <= 5, "member 1 ran {} ticks", after - before);
+        }
+    }
+
+    /// Eight members on fewer cores: every phase needs every member to
+    /// run, so members that spin instead of parking hold the cores from
+    /// the ones that have work, and 10,000 phases take minutes instead
+    /// of about a second.
+    #[test]
+    fn oversubscribed_team_parks_instead_of_spinning() {
+        let calls = AtomicUsize::new(0);
+        let work = |_member: usize, (): ()| {
+            calls.fetch_add(1, Ordering::Relaxed);
+        };
+        let t0 = Instant::now();
+        Pool::with_threads(8).team(work, |team| {
+            for _ in 0..10_000 {
+                team.run(());
+            }
+        });
+        let wall = t0.elapsed();
+        assert_eq!(calls.into_inner(), 80_000);
+        assert!(wall < Duration::from_secs(5), "10,000 phases took {wall:?}");
     }
 }

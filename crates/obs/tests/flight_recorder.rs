@@ -153,8 +153,8 @@ fn disabled_recorder_drops_writes() {
 }
 
 /// A flight record written inside a pool job carries the request of the
-/// thread that submitted it, on a batch worker and on a join's second
-/// thread alike.
+/// thread that submitted it, on a batch worker, a team member and a
+/// join's second thread alike.
 #[test]
 fn pool_jobs_record_under_the_submitting_request() {
     let _guard = serialize();
@@ -162,9 +162,18 @@ fn pool_jobs_record_under_the_submitting_request() {
     let id = RequestId::next();
     let _scope = RequestScope::enter(id);
     let pool = Pool::with_threads(2);
-    pool.scoped_run((0..4u64).collect(), |k| {
-        esched_obs::flight_event!("fr_pool_batch", k);
-    });
+    pool.batch_map_with(
+        || (),
+        (0..2u64).collect(),
+        |(), k| esched_obs::flight_event!("fr_pool_batch", k),
+    );
+    pool.team(
+        |member, phase: u64| esched_obs::flight_event!("fr_pool_team", 2 * phase + member as u64),
+        |team| {
+            team.run(0);
+            team.run(1);
+        },
+    );
     pool.join(
         || esched_obs::flight_event!("fr_pool_join", 0),
         || esched_obs::flight_event!("fr_pool_join", 1),
@@ -174,7 +183,7 @@ fn pool_jobs_record_under_the_submitting_request() {
         .iter()
         .filter(|r| r.name.starts_with("fr_pool_"))
         .collect();
-    assert_eq!(mine.len(), 6, "{mine:?}");
+    assert_eq!(mine.len(), 8, "{mine:?}");
     assert!(
         mine.iter().all(|r| r.request == id.as_u64()),
         "a pool job recorded outside its request: {mine:?}"

@@ -23,20 +23,29 @@
 //!   shift of the round before: on `large_n(256)` that takes 4.6
 //!   evaluations of `S(t)` per task and round. The task's constants
 //!   (`γ(α−1)c^α` and its total box) are computed once per solve.
-//!   From `PARALLEL_MIN_TASKS` (4,096) tasks up, these solves are fanned
-//!   across the shared worker pool
-//!   ([`esched_obs::pool::Pool::scoped_run`]) in fixed 64-task chunks:
-//!   each chunk owns a disjoint contiguous `&mut` range of the flat
-//!   vector (task blocks are contiguous by layout) and of the shifts, and
-//!   because every task's arithmetic is a pure function of its own data,
-//!   the result is **byte-identical at any worker count** — chunk
-//!   geometry depends on `n` only, never on `pool.threads()`.
 //! * **z-update, one ρ-weighted capped-simplex projection per
-//!   subinterval** (`weighted_project`), solved exactly by a
+//!   subinterval** (`project_block`), solved exactly by a
 //!   deterministic breakpoint sweep. The breakpoints are all positive, so
 //!   they sort by their bit patterns as integers, then by index (on
 //!   `large_n(256)` about 40 blocks bind per round, ~47 breakpoints
 //!   each).
+//!
+//! Both steps split exactly: the x-step per task, the z-step per
+//! subinterval. From `PARALLEL_MIN_TASKS` (64) tasks up, a solve runs its
+//! rounds on a team of the pool's workers ([`esched_obs::pool::Pool::team`]),
+//! started once for the whole solve. Each member owns a contiguous task
+//! range for the x-step (task blocks are contiguous in the flat layout)
+//! and a contiguous subinterval range for the z-step, both fixed for the
+//! solve and balanced by flat-variable count. A member reads the
+//! round's inputs (`v = z − u`, `w = x̂ + u`, the penalties), which the
+//! caller rewrites between steps behind an `RwLock`, and writes only its
+//! own `Mutex`-guarded part, which the caller gathers. Every task's and
+//! every block's arithmetic is a pure function of its own data, and every
+//! reduction (residual, objective, duality gap, penalty refresh,
+//! averaging) runs on the caller in index order, so the result is
+//! **byte-identical at any member count**. On a 2-vCPU VM a round on 2
+//! members takes 0.64–0.73 of the serial round from 64 to 2,048 tasks
+//! (DESIGN.md §11).
 //!
 //! The penalty is **diagonal and curvature-matched**: each task gets its
 //! own `ρ_i = clamp(φ_i''(X_i), 1e-4, 1e6)`, re-estimated from the live
@@ -72,6 +81,7 @@ use crate::scalar::newton_increasing;
 use crate::solver::{IterSample, SolveOptions, SolveResult, SolverTelemetry};
 use esched_obs::pool::Pool;
 use esched_obs::{event, span, Level};
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
 /// Over-relaxation factor; 1.5–1.8 is the standard accelerating range.
@@ -85,17 +95,14 @@ const RHO_TASK_MAX: f64 = 1e6;
 /// whichever tasks began with low curvature permanently cheap to crowd
 /// out of contended subintervals.
 const RHO_REFRESH_EVERY: usize = 10;
-/// Tasks per pool job. Fixed — a function of `n` only — so the flat
-/// vector splits identically at every worker count.
-const TASKS_PER_CHUNK: usize = 64;
-/// Below this task count the chunked fan-out is pure overhead; run the
-/// same per-task updates serially (bit-identical by construction). Each
-/// round's fan-out starts its workers afresh, and with the Newton prox a
-/// task costs ~0.7 µs, so the pool only pays once a round holds thousands
-/// of tasks: on a 2-vCPU VM (`large_n`, `fast()`, 2 workers vs serial)
-/// the x-update lost 20% at n = 2048, tied at 3072 and won 8–20% at 4096
-/// and 8192.
-const PARALLEL_MIN_TASKS: usize = 4096;
+/// From this task count up, a solve runs its rounds on a team of
+/// `pool.threads()` members; below it, on the caller alone (bit-identical
+/// either way). The team starts once per solve, so a round pays only two
+/// hand-offs: on a 2-vCPU VM (`large_n`, `fast()`, 2 members vs serial,
+/// alternated) a round lost at 16 tasks (8.9 vs 7.7 µs), tied at 32
+/// (each side won one of two runs) and won from 40 (24–26 vs 28–34 µs);
+/// at 64, 46 vs 64 µs.
+const PARALLEL_MIN_TASKS: usize = 64;
 
 /// Solve with consensus ADMM on an env-sized pool
 /// (`ESCHED_ENGINE_THREADS`); see [`solve_admm_in`].
@@ -103,7 +110,9 @@ pub fn solve_admm(ep: &EnergyProgram, opts: &SolveOptions) -> SolveResult {
     solve_admm_in(ep, opts, &Pool::new())
 }
 
-/// Solve with consensus ADMM, fanning per-task subproblems across `pool`.
+/// Solve with consensus ADMM, running each round's per-task and
+/// per-subinterval steps on a team of `pool`'s workers (from
+/// `PARALLEL_MIN_TASKS` tasks up; on the caller alone below).
 ///
 /// Starts from [`SolveOptions::warm_start`] /
 /// [`SolveOptions::warm_start_dual`] when set (validated; mismatches fall
@@ -112,12 +121,18 @@ pub fn solve_admm(ep: &EnergyProgram, opts: &SolveOptions) -> SolveResult {
 pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> SolveResult {
     let dim = ep.dim();
     let n_tasks = ep.task_count();
+    let pool = if n_tasks >= PARALLEL_MIN_TASKS {
+        pool.clone()
+    } else {
+        Pool::with_threads(1)
+    };
+    let members = pool.threads();
     let _span = span!(
         Level::Debug,
         "solve_admm",
         dim = dim,
         tasks = n_tasks,
-        workers = pool.threads(),
+        workers = members,
         max_iters = opts.max_iters
     );
     let t_start = Instant::now();
@@ -206,12 +221,86 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
         None => vec![0.0_f64; dim],
     };
 
-    let mut x = z.clone();
-    // Each task's prox shift from the last round, the first Newton
-    // iterate of the next (NaN until a root has been solved for).
-    let mut shift = vec![f64::NAN; n_tasks];
-    let mut w = vec![0.0_f64; dim];
-    let mut v = vec![0.0_f64; dim];
+    // Each member's share of a round, fixed for the solve and balanced by
+    // flat-variable count: a contiguous task range for the x-step (task
+    // blocks are contiguous in the flat layout) and a contiguous
+    // subinterval range for the z-step.
+    let task_vars: Vec<usize> = (0..n_tasks)
+        .map(|i| ep.offset_of_task(i))
+        .chain([dim])
+        .collect();
+    let mut sub_vars = vec![0usize];
+    for j in 0..ep.subinterval_count() {
+        sub_vars.push(sub_vars[j] + ep.vars_of_sub(j).len());
+    }
+    let task_cut = balanced_cuts(&task_vars, members);
+    let sub_cut = balanced_cuts(&sub_vars, members);
+    let parts: Vec<Mutex<Part>> = (0..members)
+        .map(|p| {
+            Mutex::new(Part {
+                x: vec![0.0; task_vars[task_cut[p + 1]] - task_vars[task_cut[p]]],
+                // NaN until a root has been solved for.
+                shift: vec![f64::NAN; task_cut[p + 1] - task_cut[p]],
+                z: vec![0.0; sub_vars[sub_cut[p + 1]] - sub_vars[sub_cut[p]]],
+                events: Vec::new(),
+            })
+        })
+        .collect();
+    let inputs = RwLock::new(Inputs {
+        v: vec![0.0; dim],
+        w: vec![0.0; dim],
+        rho_of,
+    });
+    // One member's share of one step. It reads only the caller's inputs
+    // and writes only its own part, so results are byte-identical at any
+    // member count.
+    let work = |member: usize, step: Step| {
+        let inputs = inputs
+            .read()
+            .expect("the caller writes inputs between steps");
+        let part = &mut *parts[member]
+            .lock()
+            .expect("no member panicked holding its part");
+        match step {
+            Step::Prox => {
+                let base = task_vars[task_cut[member]];
+                let tasks = task_cut[member]..task_cut[member + 1];
+                for (i, last) in tasks.zip(part.shift.iter_mut()) {
+                    let r = task_vars[i]..task_vars[i + 1];
+                    if let Some(t) = task_prox(
+                        &mut part.x[r.start - base..r.end - base],
+                        &inputs.v[r.clone()],
+                        &caps[r.clone()],
+                        &inputs.rho_of[r],
+                        prox_consts[i],
+                        alpha,
+                        p0,
+                        *last,
+                    ) {
+                        *last = t;
+                    }
+                }
+            }
+            Step::Project => {
+                let base = sub_vars[sub_cut[member]];
+                for j in sub_cut[member]..sub_cut[member + 1] {
+                    let delta = ep.delta_of_sub(j);
+                    project_block(
+                        ep.vars_of_sub(j),
+                        delta,
+                        ep.cores as f64 * delta,
+                        &inputs.w,
+                        &inputs.rho_of,
+                        &mut part.events,
+                        &mut part.z[sub_vars[j] - base..sub_vars[j + 1] - base],
+                    );
+                }
+            }
+        }
+    };
+
+    // The over-relaxed x-step point x̂, gathered from the members' parts.
+    let mut x = vec![0.0_f64; dim];
 
     let mut fz = ep.objective(&z);
     let mut gap = ep.duality_gap(&z);
@@ -231,157 +320,175 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
     let mut z_acc = vec![0.0_f64; dim];
     let mut acc_n = 0usize;
 
-    let use_pool = pool.threads() > 1 && n_tasks >= PARALLEL_MIN_TASKS;
+    // Every reduction below runs on the caller, in index order.
+    pool.team(work, |team| {
+        while !converged && iters < opts.max_iters {
+            iters += 1;
+            let mut guard = inputs
+                .write()
+                .expect("no member holds the inputs between steps");
+            let Inputs { v, rho_of, .. } = &mut *guard;
 
-    while !converged && iters < opts.max_iters {
-        iters += 1;
-
-        // Re-match the per-task penalties to the current iterate's
-        // curvature, rescaling u so the unscaled dual y = ρ_i·u is
-        // continuous across the switch.
-        if iters.is_multiple_of(RHO_REFRESH_EVERY) {
-            for (i, rb) in rho_base.iter_mut().enumerate() {
-                // Deadband tracking: leave ρ_i alone while the live
-                // curvature stays within 2× of it, and step at most 2×
-                // toward it otherwise. Both halves matter: the cap keeps
-                // a 1e10 curvature jump from kicking the consensus
-                // iterate across the landscape, and the deadband gives
-                // the penalties a true fixed point — chasing the exact
-                // curvature forever means every small wobble of z
-                // re-jiggles the metric (and rescales the duals), and
-                // ADMM under a never-settling metric orbits a limit
-                // cycle just outside tight tolerances instead of
-                // converging.
-                let curv = task_curvature(&z, i);
-                let fresh = if curv > *rb * 2.0 {
-                    *rb * 2.0
-                } else if curv < *rb * 0.5 {
-                    *rb * 0.5
-                } else {
-                    continue;
-                };
-                rho_steps += 1;
-                let ratio = *rb / fresh;
-                let o = ep.offset_of_task(i);
-                let (a, b) = ep.span_of_task(i);
-                for k in o..o + (b - a) {
-                    u[k] *= ratio;
-                    rho_of[k] = fresh * delta_scale[k];
-                }
-                *rb = fresh;
-            }
-        }
-
-        // x-update: per-task proximal solves on v = z − u.
-        for k in 0..dim {
-            v[k] = z[k] - u[k];
-        }
-        // Tasks `lo..hi`, whose flat block starts at `base` in `xs` and
-        // whose shifts are `shifts`.
-        let prox_range = |lo: usize, hi: usize, base: usize, xs: &mut [f64], shifts: &mut [f64]| {
-            for i in lo..hi {
-                let o = ep.offset_of_task(i);
-                let (a, b) = ep.span_of_task(i);
-                let r = o..o + (b - a);
-                let last = &mut shifts[i - lo];
-                if let Some(t) = task_prox(
-                    &mut xs[r.start - base..r.end - base],
-                    &v[r.clone()],
-                    &caps[r.clone()],
-                    &rho_of[r],
-                    prox_consts[i],
-                    alpha,
-                    p0,
-                    *last,
-                ) {
-                    *last = t;
+            // Re-match the per-task penalties to the current iterate's
+            // curvature, rescaling u so the unscaled dual y = ρ_i·u is
+            // continuous across the switch.
+            if iters.is_multiple_of(RHO_REFRESH_EVERY) {
+                for (i, rb) in rho_base.iter_mut().enumerate() {
+                    // Deadband tracking: leave ρ_i alone while the live
+                    // curvature stays within 2× of it, and step at most 2×
+                    // toward it otherwise. Both halves matter: the cap keeps
+                    // a 1e10 curvature jump from kicking the consensus
+                    // iterate across the landscape, and the deadband gives
+                    // the penalties a true fixed point — chasing the exact
+                    // curvature forever means every small wobble of z
+                    // re-jiggles the metric (and rescales the duals), and
+                    // ADMM under a never-settling metric orbits a limit
+                    // cycle just outside tight tolerances instead of
+                    // converging.
+                    let curv = task_curvature(&z, i);
+                    let fresh = if curv > *rb * 2.0 {
+                        *rb * 2.0
+                    } else if curv < *rb * 0.5 {
+                        *rb * 0.5
+                    } else {
+                        continue;
+                    };
+                    rho_steps += 1;
+                    let ratio = *rb / fresh;
+                    for k in task_vars[i]..task_vars[i + 1] {
+                        u[k] *= ratio;
+                        rho_of[k] = fresh * delta_scale[k];
+                    }
+                    *rb = fresh;
                 }
             }
-        };
-        if use_pool {
-            // Deterministic chunking: split x and the shifts into
-            // contiguous per-chunk task ranges (layout keeps each task's
-            // block contiguous).
-            let mut jobs = Vec::new();
-            let (mut rest, mut rest_shift) = (x.as_mut_slice(), shift.as_mut_slice());
-            let mut consumed = 0usize;
-            let mut lo = 0usize;
-            while lo < n_tasks {
-                let hi = (lo + TASKS_PER_CHUNK).min(n_tasks);
-                let end = if hi == n_tasks {
-                    dim
-                } else {
-                    ep.offset_of_task(hi)
-                };
-                let (head, tail) = rest.split_at_mut(end - consumed);
-                let (head_shift, tail_shift) = rest_shift.split_at_mut(hi - lo);
-                jobs.push((lo, hi, consumed, head, head_shift));
-                (rest, rest_shift) = (tail, tail_shift);
-                consumed = end;
-                lo = hi;
+
+            // x-update: per-task proximal solves on v = z − u.
+            for k in 0..dim {
+                v[k] = z[k] - u[k];
             }
-            pool.scoped_run(jobs, |(lo, hi, base, xs, shifts)| {
-                prox_range(lo, hi, base, xs, shifts)
-            });
-        } else {
-            prox_range(0, n_tasks, 0, &mut x, &mut shift);
-        }
+            drop(guard);
+            team.run(Step::Prox);
 
-        // Over-relaxed consensus: x̂ = RELAX·x + (1−RELAX)·z, then the
-        // blockwise ρ-weighted capped-simplex projection of x̂ + u gives
-        // z⁺ (weighting by ρ_i is what the diagonal penalty prescribes —
-        // the consensus step must charge each task its own price to move).
-        for k in 0..dim {
-            x[k] = RELAX * x[k] + (1.0 - RELAX) * z[k];
-            w[k] = x[k] + u[k];
-        }
-        weighted_project(ep, &w, &rho_of, &mut z);
-        for k in 0..dim {
-            z_acc[k] += z[k];
-        }
-        acc_n += 1;
-        gap_fresh = false;
+            // Over-relaxed consensus: x̂ = RELAX·x + (1−RELAX)·z, then the
+            // blockwise ρ-weighted capped-simplex projection of x̂ + u
+            // gives z⁺ (weighting by ρ_i is what the diagonal penalty
+            // prescribes — the consensus step must charge each task its
+            // own price to move).
+            let mut guard = inputs
+                .write()
+                .expect("no member holds the inputs between steps");
+            for (p, part) in parts.iter().enumerate() {
+                let part = part.lock().expect("no member panicked holding its part");
+                for (k, &xk) in (task_vars[task_cut[p]]..).zip(&part.x) {
+                    x[k] = RELAX * xk + (1.0 - RELAX) * z[k];
+                    guard.w[k] = x[k] + u[k];
+                }
+            }
+            drop(guard);
+            team.run(Step::Project);
+            for (p, part) in parts.iter().enumerate() {
+                let part = part.lock().expect("no member panicked holding its part");
+                let vars = (sub_cut[p]..sub_cut[p + 1]).flat_map(|j| ep.vars_of_sub(j));
+                for (&k, &zk) in vars.zip(&part.z) {
+                    z[k] = zk;
+                }
+            }
+            for k in 0..dim {
+                z_acc[k] += z[k];
+            }
+            acc_n += 1;
+            gap_fresh = false;
 
-        // Residuals and dual ascent: r = x̂ − z⁺ (primal). The dual
-        // residual ‖P·(z⁺ − z)‖ with P = diag(ρ_i) is not consumed by any
-        // control decision — the curvature refresh above is the only
-        // penalty adaptation — so only r is accumulated. (An earlier
-        // residual-balancing global scalar on top of ρ_i was actively
-        // harmful here: the curvature refresh makes the dual residual
-        // spike transiently, the balancer read that as "penalty too
-        // high" and collapsed the scale ~1e3 below the curvature match,
-        // and with a Newton-mismatched anchor both residuals crawled for
-        // thousands of rounds. Trusting φ'' outright converges in ~100s
-        // of rounds at n in the thousands.)
-        let mut r2 = 0.0_f64;
-        for k in 0..dim {
-            let rk = x[k] - z[k];
-            r2 += rk * rk;
-            u[k] += rk;
-        }
-        let r_norm = r2.sqrt();
+            // Residuals and dual ascent: r = x̂ − z⁺ (primal). The dual
+            // residual ‖P·(z⁺ − z)‖ with P = diag(ρ_i) is not consumed by any
+            // control decision — the curvature refresh above is the only
+            // penalty adaptation — so only r is accumulated. (An earlier
+            // residual-balancing global scalar on top of ρ_i was actively
+            // harmful here: the curvature refresh makes the dual residual
+            // spike transiently, the balancer read that as "penalty too
+            // high" and collapsed the scale ~1e3 below the curvature match,
+            // and with a Newton-mismatched anchor both residuals crawled for
+            // thousands of rounds. Trusting φ'' outright converges in ~100s
+            // of rounds at n in the thousands.)
+            let mut r2 = 0.0_f64;
+            for k in 0..dim {
+                let rk = x[k] - z[k];
+                r2 += rk * rk;
+                u[k] += rk;
+            }
+            let r_norm = r2.sqrt();
 
-        let fz_new = ep.objective(&z);
-        let decrease = fz - fz_new;
-        fz = fz_new;
-        if let Some(trace) = iter_trace.as_mut() {
-            trace.push(IterSample {
-                iter: iters,
-                objective: fz,
-                gap,
-                step: r_norm,
-            });
-        }
+            let fz_new = ep.objective(&z);
+            let decrease = fz - fz_new;
+            fz = fz_new;
+            if let Some(trace) = iter_trace.as_mut() {
+                trace.push(IterSample {
+                    iter: iters,
+                    objective: fz,
+                    gap,
+                    step: r_norm,
+                });
+            }
 
-        // ADMM is not monotone in the objective, so stall on *absolute*
-        // movement staying tiny — but a stall alone is no certificate
-        // (badly scaled penalties make early rounds crawl): it must be
-        // confirmed by a fresh duality-gap check, else the counter resets
-        // and the curvature refresh gets time to find the right scale.
-        if decrease.abs() <= opts.rel_tol * (1.0 + fz.abs()) {
-            stalled += 1;
-            stalls += 1;
-            if stalled >= opts.stall_iters {
+            // ADMM is not monotone in the objective, so stall on *absolute*
+            // movement staying tiny — but a stall alone is no certificate
+            // (badly scaled penalties make early rounds crawl): it must be
+            // confirmed by a fresh duality-gap check, else the counter resets
+            // and the curvature refresh gets time to find the right scale.
+            if decrease.abs() <= opts.rel_tol * (1.0 + fz.abs()) {
+                stalled += 1;
+                stalls += 1;
+                if stalled >= opts.stall_iters {
+                    gap = ep.duality_gap(&z);
+                    gap_evals += 1;
+                    gap_fresh = true;
+                    if gap <= opts.gap_tol * (1.0 + fz.abs())
+                        || try_adopt_average(
+                            ep,
+                            &mut z,
+                            &mut z_acc,
+                            &mut acc_n,
+                            &mut fz,
+                            &mut gap,
+                            &mut gap_evals,
+                            opts.gap_tol,
+                        )
+                    {
+                        converged = true;
+                    } else {
+                        // Three consecutive stall windows with zero gap
+                        // progress mean the iterate sits at the prox's
+                        // numerical floor (a frozen point): stop honestly
+                        // (converged stays false) instead of burning the
+                        // whole iteration budget there. Any real progress,
+                        // however slow, resets the strike counter, and so
+                        // does a window in which the penalty refresh still
+                        // stepped: the point is not frozen while the metric
+                        // is moving. A tiny-work task cold-started on its
+                        // whole window looks frozen at zero for hundreds of
+                        // rounds while its ρ_i climbs 2× per refresh from
+                        // RHO_TASK_MIN to its optimum's curvature.
+                        if rho_steps > rho_steps_at_stall {
+                            no_progress = 0;
+                        } else if gap >= 0.9999 * last_stall_gap {
+                            no_progress += 1;
+                            if no_progress >= 3 {
+                                break;
+                            }
+                        } else {
+                            no_progress = 0;
+                        }
+                        last_stall_gap = gap;
+                        rho_steps_at_stall = rho_steps;
+                        stalled = 0;
+                    }
+                }
+            } else {
+                stalled = 0;
+            }
+
+            if !converged && iters.is_multiple_of(opts.gap_check_every) {
                 gap = ep.duality_gap(&z);
                 gap_evals += 1;
                 gap_fresh = true;
@@ -398,58 +505,10 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
                     )
                 {
                     converged = true;
-                } else {
-                    // Three consecutive stall windows with zero gap
-                    // progress mean the iterate sits at the prox's
-                    // numerical floor (a frozen point): stop honestly
-                    // (converged stays false) instead of burning the
-                    // whole iteration budget there. Any real progress,
-                    // however slow, resets the strike counter, and so
-                    // does a window in which the penalty refresh still
-                    // stepped: the point is not frozen while the metric
-                    // is moving. A tiny-work task cold-started on its
-                    // whole window looks frozen at zero for hundreds of
-                    // rounds while its ρ_i climbs 2× per refresh from
-                    // RHO_TASK_MIN to its optimum's curvature.
-                    if rho_steps > rho_steps_at_stall {
-                        no_progress = 0;
-                    } else if gap >= 0.9999 * last_stall_gap {
-                        no_progress += 1;
-                        if no_progress >= 3 {
-                            break;
-                        }
-                    } else {
-                        no_progress = 0;
-                    }
-                    last_stall_gap = gap;
-                    rho_steps_at_stall = rho_steps;
-                    stalled = 0;
                 }
             }
-        } else {
-            stalled = 0;
         }
-
-        if !converged && iters.is_multiple_of(opts.gap_check_every) {
-            gap = ep.duality_gap(&z);
-            gap_evals += 1;
-            gap_fresh = true;
-            if gap <= opts.gap_tol * (1.0 + fz.abs())
-                || try_adopt_average(
-                    ep,
-                    &mut z,
-                    &mut z_acc,
-                    &mut acc_n,
-                    &mut fz,
-                    &mut gap,
-                    &mut gap_evals,
-                    opts.gap_tol,
-                )
-            {
-                converged = true;
-            }
-        }
-    }
+    });
 
     if !gap_fresh {
         gap = ep.duality_gap(&z);
@@ -463,6 +522,7 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
             gap = gap
         );
     }
+    let rho_of = inputs.into_inner().expect("the team has stopped").rho_of;
     let dual: Vec<f64> = u.iter().zip(&rho_of).map(|(&uk, &rk)| rk * uk).collect();
     let telemetry = SolverTelemetry {
         iters,
@@ -574,20 +634,58 @@ fn work_proportional_point(ep: &EnergyProgram) -> Vec<f64> {
     z
 }
 
-/// Blockwise ρ-weighted projection onto the feasible polytope: per
-/// subinterval `j`, minimize `Σ_k ρ_k (z_k − w_k)²` subject to
-/// `0 ≤ z_k ≤ Δ_j` and `Σ_k z_k ≤ m·Δ_j`; one [`project_block`] each.
-fn weighted_project(ep: &EnergyProgram, w: &[f64], rho: &[f64], out: &mut [f64]) {
-    let mut events = Vec::new();
-    for j in 0..ep.subinterval_count() {
-        let delta = ep.delta_of_sub(j);
-        let budget = ep.cores as f64 * delta;
-        project_block(ep.vars_of_sub(j), delta, budget, w, rho, &mut events, out);
-    }
+/// The two parallel steps of a round.
+#[derive(Clone, Copy)]
+enum Step {
+    /// The per-task proximal solves (x-step).
+    Prox,
+    /// The per-subinterval projections (z-step).
+    Project,
 }
 
-/// One block of [`weighted_project`]: the flat variables `vars`, all with
-/// cap `delta`, share `budget`.
+/// The inputs of a round's steps, which the caller rewrites between them.
+struct Inputs {
+    /// The x-step anchor `z − u`.
+    v: Vec<f64>,
+    /// The z-step point `x̂ + u`.
+    w: Vec<f64>,
+    /// Per-coordinate penalty `ρ_k`.
+    rho_of: Vec<f64>,
+}
+
+/// One team member's outputs: the prox points and shifts of its task
+/// range, and the projections of its subinterval range, block after block
+/// in [`EnergyProgram::vars_of_sub`] order, which the caller scatters
+/// into `z`.
+struct Part {
+    x: Vec<f64>,
+    /// Each task's prox shift from the last round, the first Newton
+    /// iterate of the next.
+    shift: Vec<f64>,
+    z: Vec<f64>,
+    /// [`project_block`]'s reusable sort buffer.
+    events: Vec<(u64, usize, f64)>,
+}
+
+/// Cut the items whose flat-variable counts have the running sums
+/// `prefix` (`prefix[0] = 0`, one more entry than items) into `parts`
+/// contiguous ranges of about equal variable count: range `p` is
+/// `cut[p]..cut[p + 1]`.
+fn balanced_cuts(prefix: &[usize], parts: usize) -> Vec<usize> {
+    let items = prefix.len() - 1;
+    let total = prefix[items];
+    let mut cut: Vec<usize> = (0..parts)
+        .map(|p| prefix.partition_point(|&s| s * parts < p * total))
+        .collect();
+    cut.push(items);
+    cut
+}
+
+/// The ρ-weighted projection of one subinterval's block onto its part of
+/// the feasible polytope: minimize `Σ_k ρ_k (z_k − w_k)²` over the flat
+/// variables `vars`, all with cap `delta`, subject to `0 ≤ z_k ≤ Δ_j` and
+/// `Σ_k z_k ≤ budget = m·Δ_j`. The projection of `vars[i]` goes to
+/// `out[i]`.
 ///
 /// KKT gives `z_k = clamp(w_k − θ/ρ_k, 0, Δ_j)` with `θ ≥ 0` the
 /// multiplier of the budget constraint (`θ = 0` when the clamped point
@@ -620,9 +718,9 @@ fn project_block(
     out: &mut [f64],
 ) {
     let mut s0 = 0.0_f64;
-    for &k in vars {
+    for (o, &k) in out.iter_mut().zip(vars) {
         let y = w[k].clamp(0.0, delta);
-        out[k] = y;
+        *o = y;
         s0 += y;
     }
     if s0 <= budget {
@@ -670,8 +768,8 @@ fn project_block(
         // a crossing segment always exists unless budget is exactly 0.
         None => events.last().map_or(0.0, |e| f64::from_bits(e.0)),
     };
-    for &k in vars {
-        out[k] = (w[k] - theta / rho[k]).clamp(0.0, delta);
+    for (o, &k) in out.iter_mut().zip(vars) {
+        *o = (w[k] - theta / rho[k]).clamp(0.0, delta);
     }
 }
 

@@ -146,8 +146,8 @@ impl EnergyProgram {
     /// Flat-variable offset of task `i`'s block; its variables are
     /// `flat[offset .. offset + (b − a)]` for `(a, b) =`
     /// [`EnergyProgram::span_of_task`], ordered by subinterval. The
-    /// decomposed ADMM solver leans on this contiguity to hand disjoint
-    /// `&mut` task blocks to pool workers.
+    /// decomposed ADMM solver leans on this contiguity to give each team
+    /// member one contiguous range of the flat vector.
     pub fn offset_of_task(&self, task: usize) -> usize {
         self.offsets[task]
     }

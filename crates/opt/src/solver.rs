@@ -206,13 +206,13 @@ impl SolverKind {
     /// the barrier solver always chooses its own interior starting point.
     pub fn solve(&self, ep: &EnergyProgram, opts: &SolveOptions) -> SolveResult {
         // A fresh env-sized pool per solve: the pool struct is one usize
-        // (threads spawn per batch call), so this is free, and it keeps
+        // (threads spawn per call), so this is free, and it keeps
         // `ESCHED_ENGINE_THREADS` live-reconfigurable between solves.
         self.solve_in(ep, opts, &Pool::new())
     }
 
-    /// Like [`SolverKind::solve`], but ADMM fans its per-task subproblems
-    /// across the supplied `pool` instead of an env-sized one. The serial
+    /// Like [`SolverKind::solve`], but ADMM runs its rounds on a team of
+    /// the supplied `pool`'s workers instead of an env-sized one. The serial
     /// solvers ignore `pool`. Results are byte-identical at any worker
     /// count, so pool choice is purely a throughput knob.
     pub fn solve_in(&self, ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> SolveResult {

@@ -1,11 +1,11 @@
 //! Determinism and warm-start contracts for the decomposed ADMM solver.
 //!
-//! The per-task subproblems fan out across the engine worker pool in
-//! fixed chunks of the flat variable vector, and every reduction runs in
-//! a fixed order on the coordinator thread — so the `SolveResult` must
-//! be byte-identical at any worker count. These tests pin that contract
-//! at 1, 4, and 8 workers on an instance large enough to actually take
-//! the parallel path, and check that a warm start from the previous
+//! Each round's per-task and per-subinterval steps run on a team of the
+//! pool's workers, each member on its own contiguous share, and every
+//! reduction runs in a fixed order on the calling thread — so the
+//! `SolveResult` must be byte-identical at any worker count. These tests
+//! pin that contract at 1 to 8 workers on instances large enough to take
+//! the team path, and check that a warm start from the previous
 //! primal/dual point strictly reduces the iteration count.
 
 use esched_obs::pool::Pool;
@@ -15,8 +15,8 @@ use esched_types::{PolynomialPower, TaskSet};
 
 /// Deterministic pseudo-random task set. Releases are spread over a long
 /// horizon so windows overlap only locally: the flat dimension stays
-/// small even at task counts past the solver's serial-fallback threshold
-/// (4,096 tasks), keeping the test fast in debug builds.
+/// small even at thousands of tasks, keeping the test fast in debug
+/// builds.
 fn big_tasks(n: usize, seed: u64) -> TaskSet {
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
     let mut next = move || {
@@ -53,27 +53,17 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-#[test]
-fn byte_identical_across_1_4_8_workers() {
-    let tasks = big_tasks(4200, 7);
-    let ep = program(&tasks);
-    assert!(ep.task_count() >= 4096, "must exercise the parallel path");
-    let opts = SolveOptions::default();
-
-    let results: Vec<SolveResult> = [1usize, 4, 8]
+/// Solve `ep` on a pool of each width in `workers` and require every
+/// result to equal the first, bit for bit.
+fn assert_identical_across(ep: &EnergyProgram, opts: &SolveOptions, workers: &[usize]) {
+    let results: Vec<SolveResult> = workers
         .iter()
-        .map(|&w| {
-            canonical(esched_opt::solve_admm_in(
-                &ep,
-                &opts,
-                &Pool::with_threads(w),
-            ))
-        })
+        .map(|&w| canonical(esched_opt::solve_admm_in(ep, opts, &Pool::with_threads(w))))
         .collect();
 
     let base = &results[0];
     assert!(base.converged, "reference solve must converge");
-    for (r, w) in results.iter().zip([1usize, 4, 8]) {
+    for (r, w) in results.iter().zip(workers) {
         assert_eq!(bits(&r.x), bits(&base.x), "{w} workers: primal differs");
         assert_eq!(
             r.dual.as_deref().map(bits),
@@ -94,7 +84,38 @@ fn byte_identical_across_1_4_8_workers() {
         assert_eq!(r.converged, base.converged);
         assert_eq!(r.telemetry.backtracks, base.telemetry.backtracks);
         assert_eq!(r.telemetry.stalls, base.telemetry.stalls);
+        let trace = |r: &SolveResult| -> Option<Vec<[u64; 3]>> {
+            r.iter_trace.as_ref().map(|t| {
+                t.iter()
+                    .map(|s| [s.objective.to_bits(), s.gap.to_bits(), s.step.to_bits()])
+                    .collect()
+            })
+        };
+        assert_eq!(
+            trace(r),
+            trace(base),
+            "{w} workers: iteration trace differs"
+        );
     }
+}
+
+#[test]
+fn byte_identical_across_1_4_8_workers() {
+    let tasks = big_tasks(4200, 7);
+    let ep = program(&tasks);
+    assert!(ep.task_count() >= 4096, "must exercise the parallel path");
+    assert_identical_across(&ep, &SolveOptions::default(), &[1, 4, 8]);
+}
+
+/// At a few hundred tasks, the size `certify-256` solves, every round runs
+/// on the team. The iteration trace carries the primal residual, the one
+/// reduction no other field depends on.
+#[test]
+fn byte_identical_across_1_2_4_8_workers_at_300_tasks() {
+    let tasks = big_tasks(300, 7);
+    let ep = program(&tasks);
+    let opts = SolveOptions::default().with_trace_iters(true);
+    assert_identical_across(&ep, &opts, &[1, 2, 4, 8]);
 }
 
 #[test]
