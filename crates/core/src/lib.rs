@@ -77,7 +77,7 @@ pub use quality::{analyze, ScheduleQuality, TaskQuality};
 pub use reclaim::{no_reclaim_energy, reclaim_der, ReclaimOutcome};
 pub use refine::{
     build_outcome, build_outcome_with, final_assignment, final_schedule, final_schedule_with,
-    intermediate_schedule, intermediate_schedule_with, HeuristicOutcome,
+    intermediate_schedule, intermediate_schedule_with, refine_with, HeuristicOutcome, Refined,
 };
 pub use replan::{replan_der, ReplanOutcome};
 pub use scratch::Scratch;

@@ -12,23 +12,32 @@
 //!   `f_i = max{ f_crit, C_i/A_i }`, and the task's execution time
 //!   `C_i/f_i` is spread over its available slots proportionally.
 //!
-//! Both are materialized into concrete [`Schedule`]s via Algorithm 1
-//! ([`crate::packing`]) so they can be validated and simulated; their
-//! energies are the analytic `E^I`/`E^F` of the paper. The two builds
-//! read the same allocation and nothing of each other, so
-//! [`build_outcome_with`] runs them side by side when given a pool.
-//! Each schedule's segment buffer is sized once, to the packer's upper
-//! bound for the timeline.
+//! [`build_outcome_with`] materializes both into concrete [`Schedule`]s
+//! via Algorithm 1 ([`crate::packing`]) so they can be validated and
+//! simulated; their energies are the analytic `E^I`/`E^F` of the paper.
+//! The two builds read the same allocation and nothing of each other, so
+//! they run side by side when given a pool. Each schedule's segment
+//! buffer is sized once, to the packer's upper bound for the timeline,
+//! and trimmed at the end; segments are coalesced as they are appended
+//! ([`Schedule::push_coalesced`]), so no closing pass revisits them.
+//!
+//! The paper needs Algorithm 1 for the intermediate schedule only to show
+//! that it exists. [`refine_with`], the engine's step, keeps what a
+//! request returns — both energies and `S^F` — and never builds `S^I`: it
+//! streams the packer's segments through the same coalesce rule into the
+//! energy sum, so `E^I` keeps its bits.
 
 use crate::allocation::AvailMatrix;
 use crate::ideal::IdealSolution;
-use crate::packing::{max_packed_segments, pack_subinterval, PackItem};
+use crate::packing::{max_packed_segments, negligible, pack_each, PackItem};
 use crate::scratch::Scratch;
 use crate::Pool;
 use esched_obs::{span, Level};
 use esched_subinterval::Timeline;
-use esched_types::time::EPS;
-use esched_types::{FrequencyAssignment, PolynomialPower, Schedule, TaskSet};
+use esched_types::schedule::CoreTails;
+use esched_types::time::{CompensatedSum, EPS};
+use esched_types::{FrequencyAssignment, PolynomialPower, PowerModel, Schedule, Segment, TaskSet};
+use std::collections::VecDeque;
 
 /// Everything a heuristic run produces.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,6 +90,116 @@ pub fn intermediate_schedule_with(
     items: &mut Vec<PackItem>,
 ) -> Schedule {
     let mut out = Schedule::with_capacity(cores, packed_capacity(timeline, cores));
+    let mut tails = CoreTails::new(cores);
+    pack_intermediate(timeline, cores, ideal, avail, items, &mut |seg| {
+        out.push_coalesced(seg, &mut tails)
+    });
+    out.shrink_to_fit();
+    out
+}
+
+/// `intermediate_schedule_with(..).energy(power)`, bit for bit, without
+/// building the schedule: the packer's segments stream through the
+/// coalesce rule into the energy sum. `p(f)` at each task's ideal
+/// frequency is computed once per task; only squeezed segments evaluate
+/// the power model themselves.
+fn intermediate_energy_with(
+    timeline: &Timeline,
+    cores: usize,
+    power: &PolynomialPower,
+    ideal: &IdealSolution,
+    avail: &AvailMatrix,
+    items: &mut Vec<PackItem>,
+) -> f64 {
+    let ideal_power: Vec<f64> = ideal.freq.iter().map(|&f| power.power(f)).collect();
+    let mut energy = EnergyStream::new(cores);
+    pack_intermediate(timeline, cores, ideal, avail, items, &mut |seg| {
+        let p = if seg.freq == ideal.freq[seg.task] {
+            ideal_power[seg.task]
+        } else {
+            power.power(seg.freq)
+        };
+        energy.push(seg, p);
+    });
+    energy.total()
+}
+
+/// `Schedule::energy` of the schedule that [`Schedule::push_coalesced`]
+/// would build from a canonical segment stream, summed as the segments
+/// arrive.
+///
+/// A kept segment's energy is final once nothing can extend it: a later
+/// segment was kept on its core, or the stream has moved past its end by
+/// more than the coalesce rule's adjacency slack (twice it, so rounding
+/// cannot reopen it). Kept segments wait in kept order until then, so the
+/// sum adds the same terms in the same order as `Schedule::energy` on the
+/// built schedule, and only a few segments per core are ever held.
+struct EnergyStream {
+    /// Kept segments that may still be extended, with `p(f)`, in kept
+    /// order.
+    open: VecDeque<(Segment, f64)>,
+    /// Kept segments already summed: the kept index of `open[0]`.
+    summed: usize,
+    /// Kept index of each core's last kept segment.
+    tails: CoreTails,
+    sum: CompensatedSum,
+}
+
+impl EnergyStream {
+    fn new(cores: usize) -> Self {
+        Self {
+            open: VecDeque::new(),
+            summed: 0,
+            tails: CoreTails::new(cores),
+            sum: CompensatedSum::default(),
+        }
+    }
+
+    /// Take the next non-empty segment of a canonical stream, drawing
+    /// power `p` while it runs.
+    fn push(&mut self, seg: Segment, p: f64) {
+        let tail = self.tails.slot(seg.core);
+        let last = tail
+            .checked_sub(self.summed)
+            .and_then(|k| self.open.get_mut(k));
+        if !last.is_some_and(|(last, _)| last.try_extend(&seg)) {
+            *tail = self.summed + self.open.len();
+            self.open.push_back((seg, p));
+        }
+        let now = seg.interval.start;
+        while let Some((first, p)) = self.open.front() {
+            let end = first.interval.end;
+            let closed = *self.tails.slot(first.core) != self.summed
+                || now - end > 2e-12 * (1.0 + end.abs().max(now.abs()));
+            if !closed {
+                break;
+            }
+            self.sum.add(p * first.duration());
+            self.open.pop_front();
+            self.summed += 1;
+        }
+    }
+
+    /// The energy of every segment taken.
+    fn total(mut self) -> f64 {
+        for (seg, p) in self.open.drain(..) {
+            self.sum.add(p * seg.duration());
+        }
+        self.sum.total()
+    }
+}
+
+/// Stage and pack [`intermediate_schedule`]'s items subinterval by
+/// subinterval; `emit` receives its segments in canonical order, before
+/// coalescing.
+fn pack_intermediate(
+    timeline: &Timeline,
+    cores: usize,
+    ideal: &IdealSolution,
+    avail: &AvailMatrix,
+    items: &mut Vec<PackItem>,
+    emit: &mut impl FnMut(Segment),
+) {
     // Ideal-overlap staging: computed for the whole column in one tight
     // pass before the branchy item-selection loop, so the hot part of the
     // column walk is a flat sequential fill.
@@ -96,7 +215,7 @@ pub fn intermediate_schedule_with(
         );
         for (pos, &i) in sub.overlapping.iter().enumerate() {
             let u = overlaps[pos];
-            if crate::packing::negligible(u, ideal.freq[i]) {
+            if negligible(u, ideal.freq[i]) {
                 continue;
             }
             let a = cells[pos];
@@ -106,7 +225,7 @@ pub fn intermediate_schedule_with(
             // instead, where the frequency rises by the same dust factor.
             let (duration, freq) = if u <= a {
                 (u, ideal.freq[i])
-            } else if a > 0.0 && !crate::packing::negligible(a, u * ideal.freq[i] / a) {
+            } else if a > 0.0 && !negligible(a, u * ideal.freq[i] / a) {
                 (a, u * ideal.freq[i] / a)
             } else {
                 // No allocation at all in this subinterval: the ideal work
@@ -124,11 +243,9 @@ pub fn intermediate_schedule_with(
                 freq,
             });
         }
-        pack_subinterval(items, sub.interval.start, sub.interval.end, cores, &mut out)
+        pack_each(items, sub.interval.start, sub.interval.end, cores, emit)
             .expect("intermediate durations respect capacity by construction");
     }
-    out.coalesce();
-    out
 }
 
 /// Final frequency assignment from per-task available totals:
@@ -205,6 +322,7 @@ pub fn final_schedule_with(
         scale[i] = if a > 0.0 { (d / a).min(1.0) } else { 0.0 };
     }
     let mut out = Schedule::with_capacity(cores, packed_capacity(timeline, cores));
+    let mut tails = CoreTails::new(cores);
     // Scaled-usage staging: one flat gather-multiply over the column's
     // cells before the branchy item-selection loop — the multiply runs
     // over sequential slab loads, which is what the autovectorizer needs.
@@ -223,7 +341,7 @@ pub fn final_schedule_with(
             let used = used_buf[pos];
             // Work-aware dust filter: a sub-EPS slot still matters when the
             // task's frequency is high enough that it carries real work.
-            if crate::packing::negligible(used, assignment.freq[i]) {
+            if negligible(used, assignment.freq[i]) {
                 continue;
             }
             items.push(PackItem {
@@ -232,10 +350,19 @@ pub fn final_schedule_with(
                 freq: assignment.freq[i],
             });
         }
-        pack_subinterval(items, sub.interval.start, sub.interval.end, cores, &mut out)
-            .expect("scaled durations respect capacity by construction");
+        pack_each(
+            items,
+            sub.interval.start,
+            sub.interval.end,
+            cores,
+            &mut |seg| out.push_coalesced(seg, &mut tails),
+        )
+        .expect("scaled durations respect capacity by construction");
     }
-    out.coalesce();
+    // Give back the unused part of the packer's bound: left reserved, it
+    // kept `plan-65k`'s peak RSS ~17 MiB higher (the allocator reuses
+    // freed, already resident pages for it).
+    out.shrink_to_fit();
     out
 }
 
@@ -264,10 +391,11 @@ pub fn build_outcome(
 /// [`build_outcome`] staging pack items and scale factors in `scratch`.
 ///
 /// With a `pool`, the intermediate schedule and its energy are built on
-/// the calling thread while the final assignment, its analytic energy and
-/// the final schedule are built on a second thread ([`Pool::join`]; in
-/// sequence when the pool has one worker). The two builds share no
-/// state, so the outcome is bit-identical with or without a pool.
+/// the calling thread while the per-task totals, the final assignment,
+/// its analytic energy and the final schedule are built on a second
+/// thread ([`Pool::join`]; in sequence when the pool has one worker). The
+/// two builds share no state, so the outcome is bit-identical with or
+/// without a pool.
 #[allow(clippy::too_many_arguments)] // the refinement inputs plus where to run them
 pub fn build_outcome_with(
     tasks: &TaskSet,
@@ -279,39 +407,16 @@ pub fn build_outcome_with(
     scratch: &mut Scratch,
     pool: Option<&Pool>,
 ) -> HeuristicOutcome {
-    let _span = span!(
-        Level::Debug,
-        "refine_frequencies",
-        n_tasks = tasks.len(),
-        n_subintervals = timeline.len(),
-        cores = cores,
-    );
-    let total_avail = avail.totals();
+    let _span = refine_span(tasks, timeline, cores);
     let Scratch { items, scale, .. } = scratch;
     let intermediate_job = || {
         let schedule = intermediate_schedule_with(timeline, cores, ideal, &avail, items);
         let energy = schedule.energy(power);
         (schedule, energy)
     };
-    let final_job = || {
-        let assignment = final_assignment(tasks, &total_avail, power);
-        let works: Vec<f64> = tasks.tasks().iter().map(|t| t.wcec).collect();
-        let energy = assignment.energy(&works, power);
-        // Its own staging buffer: the intermediate build may be using
-        // the scratch one at the same time.
-        let schedule = final_schedule_with(
-            tasks,
-            timeline,
-            cores,
-            &avail,
-            &assignment,
-            &mut Vec::new(),
-            scale,
-        );
-        (assignment, energy, schedule)
-    };
+    let final_job = || refine_final(tasks, timeline, cores, power, &avail, scale);
     let serial = Pool::with_threads(1);
-    let ((intermediate, intermediate_energy), (assignment, final_energy, schedule)) =
+    let ((intermediate, intermediate_energy), (total_avail, assignment, final_energy, schedule)) =
         pool.unwrap_or(&serial).join(intermediate_job, final_job);
     HeuristicOutcome {
         avail,
@@ -322,6 +427,86 @@ pub fn build_outcome_with(
         intermediate_schedule: intermediate,
         schedule,
     }
+}
+
+/// What the engine keeps of refinement.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Refined {
+    /// Energy of the intermediate schedule (`E^{I1}` / `E^{I2}`).
+    pub intermediate_energy: f64,
+    /// Energy of the final schedule (`E^{F1}` / `E^{F2}`).
+    pub final_energy: f64,
+    /// The materialized final schedule.
+    pub schedule: Schedule,
+}
+
+/// [`build_outcome_with`]'s energies and final schedule, bit for bit,
+/// from a borrowed allocation and without building the intermediate
+/// schedule: `E^I` is summed while its segments stream out of the packer
+/// (the paper needs Algorithm 1 there only to show the schedule exists).
+/// Runs the two halves side by side on `pool` as
+/// [`build_outcome_with`] does.
+#[allow(clippy::too_many_arguments)] // the refinement inputs plus where to run them
+pub fn refine_with(
+    tasks: &TaskSet,
+    timeline: &Timeline,
+    cores: usize,
+    power: &PolynomialPower,
+    ideal: &IdealSolution,
+    avail: &AvailMatrix,
+    scratch: &mut Scratch,
+    pool: Option<&Pool>,
+) -> Refined {
+    let _span = refine_span(tasks, timeline, cores);
+    let Scratch { items, scale, .. } = scratch;
+    let intermediate_job = || intermediate_energy_with(timeline, cores, power, ideal, avail, items);
+    let final_job = || refine_final(tasks, timeline, cores, power, avail, scale);
+    let serial = Pool::with_threads(1);
+    let (intermediate_energy, (_, _, final_energy, schedule)) =
+        pool.unwrap_or(&serial).join(intermediate_job, final_job);
+    Refined {
+        intermediate_energy,
+        final_energy,
+        schedule,
+    }
+}
+
+fn refine_span(tasks: &TaskSet, timeline: &Timeline, cores: usize) -> esched_obs::trace::Span {
+    span!(
+        Level::Debug,
+        "refine_frequencies",
+        n_tasks = tasks.len(),
+        n_subintervals = timeline.len(),
+        cores = cores,
+    )
+}
+
+/// The final half of refinement: the per-task totals `A_i`, the
+/// assignment of Eq. 22-23, its analytic energy `E^F`, and `S^F`.
+fn refine_final(
+    tasks: &TaskSet,
+    timeline: &Timeline,
+    cores: usize,
+    power: &PolynomialPower,
+    avail: &AvailMatrix,
+    scale: &mut Vec<f64>,
+) -> (Vec<f64>, FrequencyAssignment, f64, Schedule) {
+    let total_avail = avail.totals();
+    let assignment = final_assignment(tasks, &total_avail, power);
+    let works: Vec<f64> = tasks.tasks().iter().map(|t| t.wcec).collect();
+    let energy = assignment.energy(&works, power);
+    // Its own staging buffer: the intermediate build may be using the
+    // scratch one at the same time.
+    let schedule = final_schedule_with(
+        tasks,
+        timeline,
+        cores,
+        avail,
+        &assignment,
+        &mut Vec::new(),
+        scale,
+    );
+    (total_avail, assignment, energy, schedule)
 }
 
 #[cfg(test)]
@@ -565,7 +750,7 @@ mod tests {
                 allocate_der(&ts, &tl, cores, &ideal),
             ] {
                 let serial = build_outcome(&ts, &tl, cores, &p, &ideal, avail.clone());
-                for pool in &pools {
+                for pool in [None, Some(&pools[0]), Some(&pools[1])] {
                     let pooled = build_outcome_with(
                         &ts,
                         &tl,
@@ -574,10 +759,58 @@ mod tests {
                         &ideal,
                         avail.clone(),
                         &mut Scratch::new(),
-                        Some(pool),
+                        pool,
                     );
                     assert_same_outcome(&pooled, &serial);
+                    let refined = refine_with(
+                        &ts,
+                        &tl,
+                        cores,
+                        &p,
+                        &ideal,
+                        &avail,
+                        &mut Scratch::new(),
+                        pool,
+                    );
+                    assert_eq!(
+                        refined.intermediate_energy.to_bits(),
+                        serial.intermediate_energy.to_bits()
+                    );
+                    assert_eq!(
+                        refined.final_energy.to_bits(),
+                        serial.final_energy.to_bits()
+                    );
+                    assert_eq!(refined.schedule, serial.schedule);
                 }
+            }
+        }
+    }
+
+    /// `E^I` streamed from the packer is the built intermediate
+    /// schedule's energy, bit for bit, and coalescing while appending
+    /// builds what appending everything and then coalescing builds.
+    #[test]
+    fn streamed_intermediate_energy_and_schedule_match_the_built_ones() {
+        let mut rng = ChaCha8::seed_from_u64(0x5eed_0e1e);
+        for _ in 0..200 {
+            let (ts, cores, p) = arb_instance(&mut rng);
+            let tl = Timeline::build(&ts);
+            let ideal = ideal_schedule(&ts, &p);
+            for avail in [
+                allocate_even(&ts, &tl, cores),
+                allocate_der(&ts, &tl, cores, &ideal),
+            ] {
+                let built = intermediate_schedule(&tl, cores, &ideal, &avail);
+                let streamed =
+                    intermediate_energy_with(&tl, cores, &p, &ideal, &avail, &mut Vec::new());
+                assert_eq!(streamed.to_bits(), built.energy(&p).to_bits());
+
+                let mut appended = Schedule::new(cores);
+                pack_intermediate(&tl, cores, &ideal, &avail, &mut Vec::new(), &mut |seg| {
+                    appended.push_exact(seg)
+                });
+                appended.coalesce();
+                assert_eq!(built, appended);
             }
         }
     }

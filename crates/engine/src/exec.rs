@@ -5,8 +5,8 @@
 use crate::config::{Algorithm, ScheduleRequest};
 use crate::outcome::{DiscreteSummary, OptSummary, ScheduleOutcome, SimVerdict};
 use esched_core::{
-    allocate, allocate_even, build_outcome_with, ideal_schedule, optimal_energy_in_pool,
-    quantize_schedule, AllocRequest, HeuristicOutcome, NecPoint, Pool, QuantizePolicy, Scratch,
+    allocate, allocate_even, ideal_schedule, optimal_energy_in_pool, quantize_schedule,
+    refine_with, AllocRequest, NecPoint, Pool, QuantizePolicy, Refined, Scratch,
 };
 use esched_obs::{RequestId, RequestScope, TraceCtx};
 use esched_sim::simulate;
@@ -64,33 +64,33 @@ pub fn execute(scratch: &mut Scratch, request: &ScheduleRequest) -> ScheduleOutc
     // the outcome byte-identical either way.
     let intra_pool = cfg.intra_parallelism.map(|_| Pool::new());
     let refine_pool = refine_pool(intra_pool.as_ref(), cfg.intra_parallelism, &timeline);
-    let run_even = |scratch: &mut Scratch| -> HeuristicOutcome {
+    let run_even = |scratch: &mut Scratch| -> Refined {
         let avail = allocate_even(&request.tasks, &timeline, request.cores);
-        build_outcome_with(
+        refine_with(
             &request.tasks,
             &timeline,
             request.cores,
             &request.power,
             &ideal,
-            avail,
+            &avail,
             scratch,
             refine_pool,
         )
     };
-    let run_der = |scratch: &mut Scratch| -> HeuristicOutcome {
+    let run_der = |scratch: &mut Scratch| -> Refined {
         let mut alloc_req = AllocRequest::new(&request.tasks, &timeline, request.cores, &ideal)
             .with_scratch(&mut *scratch);
         if let (Some(threshold), Some(pool)) = (cfg.intra_parallelism, intra_pool.as_ref()) {
             alloc_req = alloc_req.with_pool(pool).with_parallel_threshold(threshold);
         }
         let avail = allocate(alloc_req);
-        build_outcome_with(
+        refine_with(
             &request.tasks,
             &timeline,
             request.cores,
             &request.power,
             &ideal,
-            avail,
+            &avail,
             scratch,
             refine_pool,
         )

@@ -51,8 +51,8 @@ use crate::config::{Algorithm, EngineConfig, ScheduleRequest};
 use crate::exec::refine_pool;
 use crate::outcome::{DiscreteSummary, OptSummary, ScheduleOutcome, SimVerdict};
 use esched_core::{
-    allocate, allocate_even, build_outcome_with, final_assignment, final_schedule_with,
-    ideal_schedule, optimal_energy_in, quantize_schedule, repair_der_in_place, AllocRequest,
+    allocate, allocate_even, final_assignment, final_schedule_with, ideal_schedule,
+    optimal_energy_in, quantize_schedule, refine_with, repair_der_in_place, AllocRequest,
     AvailMatrix, DerRepairStats, IdealSolution, NecPoint, Pool, QuantizePolicy, Scratch,
     DEFAULT_PARALLEL_THRESHOLD,
 };
@@ -615,13 +615,13 @@ impl OnlineEngine {
             &self.timeline,
         );
         let t_phase = Instant::now();
-        let chosen = build_outcome_with(
+        let chosen = refine_with(
             &self.task_set,
             &self.timeline,
             self.cores,
             &self.power,
             &self.ideal,
-            self.avail.clone(),
+            &self.avail,
             &mut self.scratch,
             refine_pool,
         );
@@ -633,13 +633,13 @@ impl OnlineEngine {
                 // NEC normalizes both heuristics: run the evenly-allocating
                 // one from scratch (it has no incremental state to reuse).
                 let even_avail = allocate_even(&self.task_set, &self.timeline, self.cores);
-                let even = build_outcome_with(
+                let even = refine_with(
                     &self.task_set,
                     &self.timeline,
                     self.cores,
                     &self.power,
                     &self.ideal,
-                    even_avail,
+                    &even_avail,
                     &mut self.scratch,
                     refine_pool,
                 );

@@ -5,14 +5,16 @@
 //! schedule, bit-identical to the event loop, and the event loop still
 //! orders a shuffled or reversed segment list exactly; packing leaves
 //! each schedule in canonical order, so coalescing skips its sort). Refinement on a pool, which builds the
-//! two schedules side by side, must give the serial outcome bit for bit.
+//! two schedules side by side, must give the serial outcome bit for bit,
+//! and the engine's refine step, which streams `E^I` instead of building
+//! the intermediate schedule, must give its energies and final schedule.
 //!
 //! The 65k tests are release-mode tests:
 //! `cargo test --release -p esched-engine --test large_n -- --include-ignored`.
 
 use esched_core::{
-    allocate, build_outcome_with, der_schedule, ideal_schedule, AllocRequest, HeuristicOutcome,
-    Pool, Scratch,
+    allocate, build_outcome_with, der_schedule, ideal_schedule, refine_with, AllocRequest,
+    HeuristicOutcome, Pool, Scratch,
 };
 use esched_obs::rng::ChaCha8;
 use esched_sim::{simulate, simulate_traced, Conflict, SimReport};
@@ -133,6 +135,46 @@ fn refining_a_65k_task_der_plan_on_a_pool_is_bit_identical() {
     let serial = refine(None);
     for threads in [2, 4] {
         assert_same_outcome(&refine(Some(&Pool::with_threads(threads))), &serial);
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-mode test")]
+fn the_engine_refine_step_matches_the_built_outcome_at_65k_tasks() {
+    let tasks = WorkloadSpec::large_n(65_536).instantiate(1);
+    let power = PolynomialPower::paper(3.0, 0.1);
+    let cores = 8;
+    let timeline = Timeline::build(&tasks);
+    let ideal = ideal_schedule(&tasks, &power);
+    let avail = allocate(AllocRequest::new(&tasks, &timeline, cores, &ideal));
+    let built = build_outcome_with(
+        &tasks,
+        &timeline,
+        cores,
+        &power,
+        &ideal,
+        avail.clone(),
+        &mut Scratch::new(),
+        None,
+    );
+    let pool = Pool::with_threads(2);
+    for pool in [None, Some(&pool)] {
+        let refined = refine_with(
+            &tasks,
+            &timeline,
+            cores,
+            &power,
+            &ideal,
+            &avail,
+            &mut Scratch::new(),
+            pool,
+        );
+        assert_eq!(
+            refined.intermediate_energy.to_bits(),
+            built.intermediate_schedule.energy(&power).to_bits()
+        );
+        assert_eq!(refined.final_energy.to_bits(), built.final_energy.to_bits());
+        assert_eq!(refined.schedule, built.schedule);
     }
 }
 

@@ -180,8 +180,9 @@ pub enum SolverKind {
     /// Gauss–Seidel block-coordinate descent with exact waterfilling
     /// block solves.
     BlockDescent,
-    /// Consensus ADMM: per-task subproblems solved exactly (bisection on
-    /// the task's share total) and fanned across the shared worker pool,
+    /// Consensus ADMM: per-task subproblems solved exactly (safeguarded
+    /// Newton on the log of the task's share total) and split across a
+    /// worker team started once per solve ([`esched_obs::pool::Pool::team`]),
     /// coordinated by per-subinterval prices with an over-relaxed update.
     /// The only parallel solver, and the only one with dual state —
     /// [`SolveResult::dual`] is `Some` and

@@ -31,6 +31,7 @@ impl Segment {
     ///
     /// # Panics
     /// If the frequency is not positive and finite.
+    #[inline]
     pub fn new(task: TaskId, core: usize, start: f64, end: f64, freq: f64) -> Self {
         assert!(
             freq.is_finite() && freq > 0.0,
@@ -60,6 +61,63 @@ impl Segment {
     #[inline]
     pub fn energy<P: PowerModel>(&self, model: &P) -> f64 {
         model.energy_for_duration(self.freq, self.duration())
+    }
+
+    /// The coalesce rule: extend `self`, the last kept segment on `next`'s
+    /// core, to cover `next` when both run the same task at the same
+    /// frequency back to back. Returns whether `next` was absorbed.
+    /// [`Schedule::coalesce`], [`Schedule::push_coalesced`] and any
+    /// producer that coalesces while it streams apply this one rule.
+    #[inline]
+    pub fn try_extend(&mut self, next: &Segment) -> bool {
+        // Frequencies must agree *relatively* — merging rewrites the run's
+        // frequency, so the work error is |Δf|·duration. `approx_eq`'s
+        // absolute floor would call any two frequencies below EPS "equal"
+        // and silently lose work for tiny tasks running at sub-EPS
+        // frequencies.
+        let freq_close =
+            (self.freq - next.freq).abs() <= EPS * self.freq.abs().max(next.freq.abs());
+        // Adjacency must be near-exact, not EPS-loose: an EPS-scale gate
+        // would bridge a real sub-EPS gap — time that may hold another
+        // task's sliver segment on this core — and the merged run would
+        // double-book it. Producers chain segment boundaries exactly (pack
+        // cursors, shared subinterval endpoints), so a few-ulp relative
+        // tolerance is all genuine adjacency needs.
+        let (end, start) = (self.interval.end, next.interval.start);
+        let adjacent = (start - end).abs() <= 1e-12 * (1.0 + end.abs().max(start.abs()));
+        let merge = self.task == next.task && freq_close && adjacent;
+        if merge {
+            self.interval.end = next.interval.end.max(end);
+        }
+        merge
+    }
+}
+
+/// The coalesce rule's per-core state: the index of the last kept segment
+/// on each core (`usize::MAX` while a core has none). Out-of-range cores
+/// go in a map, so a corrupt core index cannot size an allocation.
+#[derive(Debug, Clone)]
+pub struct CoreTails {
+    cores: Vec<usize>,
+    stray: HashMap<usize, usize>,
+}
+
+impl CoreTails {
+    /// No kept segment on any of `cores` cores.
+    pub fn new(cores: usize) -> Self {
+        Self {
+            cores: vec![usize::MAX; cores],
+            stray: HashMap::new(),
+        }
+    }
+
+    /// The slot holding `core`'s last kept segment index.
+    #[inline]
+    pub fn slot(&mut self, core: usize) -> &mut usize {
+        match self.cores.get_mut(core) {
+            Some(slot) => slot,
+            None => self.stray.entry(core).or_insert(usize::MAX),
+        }
     }
 }
 
@@ -120,10 +178,22 @@ impl Schedule {
     /// subinterval boundary, and the head piece can fall under [`push`](Self::push)'s
     /// dust gate even though its sibling pieces only add back up to the
     /// item with it included.
+    #[inline]
     pub fn push_exact(&mut self, seg: Segment) {
         if seg.duration() > 0.0 {
             self.segments.push(seg);
         }
+    }
+
+    /// Make room for at least `additional` more segments.
+    pub fn reserve(&mut self, additional: usize) {
+        self.segments.reserve(additional);
+    }
+
+    /// Release unused segment capacity, for producers that reserved an
+    /// upper bound.
+    pub fn shrink_to_fit(&mut self) {
+        self.segments.shrink_to_fit();
     }
 
     /// All segments, in insertion order.
@@ -262,12 +332,33 @@ impl Schedule {
             .is_sorted_by(|a, b| canonical_order(a, b).is_le())
     }
 
-    /// Sort the segments from index `first` on into canonical order,
-    /// stably. For producers that append a batch of segments at a time:
-    /// when each batch starts no earlier than the previous one ends, the
-    /// whole list stays canonical and [`Schedule::coalesce`] skips its sort.
-    pub fn sort_canonical_from(&mut self, first: usize) {
-        self.segments[first..].sort_by(canonical_order);
+    /// Append `seg` to a schedule built in canonical order, coalescing as
+    /// it goes: zero-length segments are dropped as by
+    /// [`push_exact`](Self::push_exact), and a segment that extends the
+    /// last kept segment on its core ([`Segment::try_extend`]) merges into
+    /// it. Appending a canonical sequence this way leaves exactly what
+    /// appending it and then calling [`coalesce`](Self::coalesce) leaves,
+    /// without the second pass. `tails` carries the rule's state between
+    /// calls; start it with [`CoreTails::new`] for an empty schedule.
+    #[inline]
+    pub fn push_coalesced(&mut self, seg: Segment, tails: &mut CoreTails) {
+        if seg.duration() <= 0.0 {
+            return;
+        }
+        debug_assert!(
+            self.segments
+                .last()
+                .is_none_or(|last| last.interval.start <= seg.interval.start),
+            "push_coalesced needs segments in canonical order"
+        );
+        let tail = tails.slot(seg.core);
+        if let Some(last) = self.segments.get_mut(*tail) {
+            if last.try_extend(&seg) {
+                return;
+            }
+        }
+        *tail = self.segments.len();
+        self.segments.push(seg);
     }
 
     /// Merge adjacent segments of the same task on the same core at the same
@@ -278,45 +369,23 @@ impl Schedule {
     ///
     /// One stable sort into canonical order, skipped when the list is
     /// already canonical, then one in-place pass in which a segment may
-    /// only extend the last kept segment on its own core. A piece is
-    /// therefore never merged across another segment on its core — not
-    /// even a sub-tolerance sliver, which a bridging merge would
-    /// double-book. Segments on a core index `≥ cores` merge by the same
-    /// rule; the validator reports them.
+    /// only extend the last kept segment on its own core
+    /// ([`Segment::try_extend`]). A piece is therefore never merged across
+    /// another segment on its core — not even a sub-tolerance sliver,
+    /// which a bridging merge would double-book. Segments on a core index
+    /// `≥ cores` merge by the same rule; the validator reports them.
     pub fn coalesce(&mut self) {
         if !self.is_canonical() {
             self.segments.sort_by(canonical_order);
         }
-        // Index of the last kept segment per core; out-of-range cores go in
-        // a map, so a corrupt core index cannot size an allocation.
-        let mut tails = vec![usize::MAX; self.cores];
-        let mut stray_tails: HashMap<usize, usize> = HashMap::new();
+        let mut tails = CoreTails::new(self.cores);
         let segs = &mut self.segments;
         let mut kept = 0;
         for i in 0..segs.len() {
             let seg = segs[i];
-            let tail = tails
-                .get_mut(seg.core)
-                .unwrap_or_else(|| stray_tails.entry(seg.core).or_insert(usize::MAX));
+            let tail = tails.slot(seg.core);
             if let Some(last) = segs.get_mut(*tail) {
-                // Frequencies must agree *relatively* — merging rewrites
-                // the run's frequency, so the work error is |Δf|·duration.
-                // `approx_eq`'s absolute floor would call any two
-                // frequencies below EPS "equal" and silently lose work for
-                // tiny tasks running at sub-EPS frequencies.
-                let freq_close =
-                    (last.freq - seg.freq).abs() <= EPS * last.freq.abs().max(seg.freq.abs());
-                // Adjacency must be near-exact, not EPS-loose: an EPS-scale
-                // gate would bridge a real sub-EPS gap — time that may hold
-                // another task's sliver segment on this core — and the
-                // merged run would double-book it. Producers chain segment
-                // boundaries exactly (pack cursors, shared subinterval
-                // endpoints), so a few-ulp relative tolerance is all
-                // genuine adjacency needs.
-                let adjacent = (seg.interval.start - last.interval.end).abs()
-                    <= 1e-12 * (1.0 + last.interval.end.abs().max(seg.interval.start.abs()));
-                if last.task == seg.task && freq_close && adjacent {
-                    last.interval.end = seg.interval.end.max(last.interval.end);
+                if last.try_extend(&seg) {
                     continue;
                 }
             }

@@ -177,18 +177,40 @@ pub fn sort_dedup_times(times: &mut Vec<f64>) {
 /// short fast ones); compensated summation keeps golden-value tests stable
 /// across evaluation orders.
 pub fn compensated_sum(values: impl IntoIterator<Item = f64>) -> f64 {
-    let mut sum = 0.0_f64;
-    let mut comp = 0.0_f64;
+    let mut sum = CompensatedSum::default();
     for v in values {
-        let t = sum + v;
-        if sum.abs() >= v.abs() {
-            comp += (sum - t) + v;
-        } else {
-            comp += (v - t) + sum;
-        }
-        sum = t;
+        sum.add(v);
     }
-    sum + comp
+    sum.total()
+}
+
+/// [`compensated_sum`] one value at a time, for producers that stream
+/// their terms instead of collecting them: the same values added in the
+/// same order give the same bits.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CompensatedSum {
+    sum: f64,
+    comp: f64,
+}
+
+impl CompensatedSum {
+    /// Add `v` to the running sum.
+    #[inline]
+    pub fn add(&mut self, v: f64) {
+        let t = self.sum + v;
+        if self.sum.abs() >= v.abs() {
+            self.comp += (self.sum - t) + v;
+        } else {
+            self.comp += (v - t) + self.sum;
+        }
+        self.sum = t;
+    }
+
+    /// The compensated total of everything added so far.
+    #[inline]
+    pub fn total(&self) -> f64 {
+        self.sum + self.comp
+    }
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 
 use esched_core::{pack_subinterval, PackItem};
 use esched_obs::rng::ChaCha8;
+use esched_types::schedule::CoreTails;
 use esched_types::time::{approx_eq, compensated_sum, Interval};
 use esched_types::validate::WORK_TOL;
 use esched_types::{
@@ -400,8 +401,10 @@ fn shuffled(rng: &mut ChaCha8, schedule: &Schedule) -> Schedule {
 }
 
 /// Coalesce `schedule` and check the result bit for bit against the
-/// reference; the result is canonical and coalescing it again changes
-/// nothing. Returns the number of segments merged away.
+/// reference; the result is canonical, coalescing it again changes
+/// nothing, and appending the segments in canonical order with
+/// `push_coalesced` builds the same list. Returns the number of segments
+/// merged away.
 fn assert_coalesces_as_reference(schedule: &Schedule) -> usize {
     let want = reference_coalesce(schedule);
     let mut got = schedule.clone();
@@ -411,6 +414,22 @@ fn assert_coalesces_as_reference(schedule: &Schedule) -> usize {
     let mut again = got.clone();
     again.coalesce();
     assert_eq!(bits(again.segments()), bits(got.segments()));
+
+    let mut canonical = schedule.segments().to_vec();
+    canonical.sort_by(|a, b| {
+        a.interval
+            .start
+            .partial_cmp(&b.interval.start)
+            .expect("finite")
+            .then(a.core.cmp(&b.core))
+            .then(a.task.cmp(&b.task))
+    });
+    let mut streamed = Schedule::new(schedule.cores);
+    let mut tails = CoreTails::new(schedule.cores);
+    for seg in canonical {
+        streamed.push_coalesced(seg, &mut tails);
+    }
+    assert_eq!(bits(streamed.segments()), bits(got.segments()));
     schedule.len() - got.len()
 }
 
