@@ -18,8 +18,8 @@
 //! * [`core_count`] — the Section VI.D core-count selection sweep,
 //! * [`replan`] — non-clairvoyant event-driven replanning (aperiodic
 //!   arrivals not known in advance),
-//! * [`nec`] — Normalized Energy Consumption evaluation used by every
-//!   experiment,
+//! * [`nec`] — the Normalized Energy Consumption point every experiment
+//!   reports, and its per-setting mean and spread,
 //! * [`Pool`] — the std-only work-stealing pool of
 //!   [`esched_obs::pool`], re-exported; used for batch jobs and for
 //!   intra-instance fan-out of the DER allocator.
@@ -67,17 +67,15 @@ pub use discrete::{
 pub use esched_obs::pool::{Pool, PoolError};
 pub use even::{even_schedule, even_schedule_with};
 pub use ideal::{ideal_schedule, IdealSolution};
-pub use nec::{evaluate_nec, evaluate_nec_full, mean_nec, std_nec, NecEvaluation, NecPoint};
-pub use optimal::{
-    optimal_energy, optimal_energy_in, optimal_energy_in_pool, optimal_energy_with,
-    OptimalSolution, Solver,
-};
+pub use nec::{mean_nec, std_nec, NecPoint};
+pub use optimal::{optimal_energy, optimal_energy_in_pool, optimal_energy_with, OptimalSolution};
 pub use packing::{pack_subinterval, PackError, PackItem};
 pub use quality::{analyze, ScheduleQuality, TaskQuality};
 pub use reclaim::{no_reclaim_energy, reclaim_der, ReclaimOutcome};
 pub use refine::{
-    build_outcome, build_outcome_with, final_assignment, final_schedule, final_schedule_with,
-    intermediate_schedule, intermediate_schedule_with, refine_with, HeuristicOutcome, Refined,
+    assign_final, build_outcome, build_outcome_with, final_assignment, final_schedule,
+    final_schedule_with, intermediate_schedule, intermediate_schedule_with, refine_with,
+    HeuristicOutcome, Refined,
 };
 pub use replan::{replan_der, ReplanOutcome};
 pub use scratch::Scratch;

@@ -1,22 +1,16 @@
-//! Normalized Energy Consumption (NEC) evaluation — the metric of every
-//! figure and table in Section VI.
+//! Normalized Energy Consumption (NEC) — the metric of every figure and
+//! table in Section VI.
 //!
-//! For a task set and platform this runs the whole battery:
-//! the ideal case `S^O`, the evenly allocating method (`S^I1`, `S^F1`),
-//! the DER-based method (`S^I2`, `S^F2`), and the convex-programming
-//! optimum `E^OPT`, then reports each energy divided by `E^OPT`:
+//! One [`NecPoint`] divides each energy of the battery by the
+//! convex-programming optimum `E^OPT`: the ideal case `S^O`, the evenly
+//! allocating method (`S^I1`, `S^F1`) and the DER-based method (`S^I2`,
+//! `S^F2`). The engine builds it for any request with a solver set, from
+//! the one timeline and ideal solution its heuristics use:
 //!
 //! * `NEC of Idl = E^O / E^OPT` (can fall below 1 — the ideal case ignores
 //!   the core limit — and can exceed 1 when static power makes stretching
 //!   suboptimal… it is a *reference*, not a competitor),
 //! * `NEC of I1, F1, I2, F2 ≥ 1` up to solver tolerance.
-
-use crate::der::der_schedule;
-use crate::even::even_schedule;
-use crate::ideal::ideal_schedule;
-use crate::optimal::optimal_energy;
-use esched_opt::{SolveOptions, SolverTelemetry};
-use esched_types::{PolynomialPower, Schedule, TaskSet};
 
 /// The five normalized energies of one evaluation, plus the normalizer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,57 +33,6 @@ impl NecPoint {
     /// The five NEC values in presentation order (Idl, I1, F1, I2, F2).
     pub fn as_array(&self) -> [f64; 5] {
         [self.ideal, self.i1, self.f1, self.i2, self.f2]
-    }
-}
-
-/// One NEC evaluation plus the observability by-products: the convex
-/// solver's telemetry and the materialized `S^F2` schedule (so callers can
-/// simulate it and record a clean-sim verdict without re-running DER).
-#[derive(Debug, Clone, PartialEq)]
-pub struct NecEvaluation {
-    /// The five normalized energies.
-    pub nec: NecPoint,
-    /// Telemetry of the `E^OPT` solve that produced the normalizer.
-    pub opt_telemetry: SolverTelemetry,
-    /// The DER-based final schedule `S^F2`.
-    pub f2_schedule: Schedule,
-}
-
-/// Run every scheduler on `tasks` over `cores` cores under `power` and
-/// normalize by the convex optimum.
-pub fn evaluate_nec(
-    tasks: &TaskSet,
-    cores: usize,
-    power: &PolynomialPower,
-    opts: &SolveOptions,
-) -> NecPoint {
-    evaluate_nec_full(tasks, cores, power, opts).nec
-}
-
-/// [`evaluate_nec`], additionally returning solver telemetry and the `S^F2`
-/// schedule for run-report and simulation cross-checks.
-pub fn evaluate_nec_full(
-    tasks: &TaskSet,
-    cores: usize,
-    power: &PolynomialPower,
-    opts: &SolveOptions,
-) -> NecEvaluation {
-    let ideal = ideal_schedule(tasks, power);
-    let even = even_schedule(tasks, cores, power);
-    let der = der_schedule(tasks, cores, power);
-    let opt = optimal_energy(tasks, cores, power, opts);
-    let e = opt.energy;
-    NecEvaluation {
-        nec: NecPoint {
-            ideal: ideal.energy / e,
-            i1: even.intermediate_energy / e,
-            f1: even.final_energy / e,
-            i2: der.intermediate_energy / e,
-            f2: der.final_energy / e,
-            opt_energy: e,
-        },
-        opt_telemetry: opt.telemetry,
-        f2_schedule: der.schedule,
     }
 }
 
@@ -157,48 +100,6 @@ pub fn std_nec(points: &[NecPoint]) -> NecPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn vd_tasks() -> TaskSet {
-        TaskSet::from_triples(&[
-            (0.0, 10.0, 8.0),
-            (2.0, 18.0, 14.0),
-            (4.0, 16.0, 8.0),
-            (6.0, 14.0, 4.0),
-            (8.0, 20.0, 10.0),
-            (12.0, 22.0, 6.0),
-        ])
-    }
-
-    #[test]
-    fn heuristic_necs_are_at_least_one() {
-        let p = PolynomialPower::cubic();
-        let nec = evaluate_nec(&vd_tasks(), 4, &p, &SolveOptions::default());
-        for (label, v) in [
-            ("i1", nec.i1),
-            ("f1", nec.f1),
-            ("i2", nec.i2),
-            ("f2", nec.f2),
-        ] {
-            assert!(v >= 1.0 - 1e-4, "{label} = {v} below 1");
-        }
-        // Finals improve on intermediates.
-        assert!(nec.f1 <= nec.i1 + 1e-9);
-        assert!(nec.f2 <= nec.i2 + 1e-9);
-    }
-
-    #[test]
-    fn ideal_lower_bounds_opt_when_static_power_is_zero() {
-        let p = PolynomialPower::cubic();
-        let nec = evaluate_nec(&vd_tasks(), 4, &p, &SolveOptions::default());
-        assert!(nec.ideal <= 1.0 + 1e-6, "ideal NEC = {}", nec.ideal);
-    }
-
-    #[test]
-    fn vd_example_f2_beats_f1() {
-        let p = PolynomialPower::cubic();
-        let nec = evaluate_nec(&vd_tasks(), 4, &p, &SolveOptions::default());
-        assert!(nec.f2 < nec.f1, "f2 {} vs f1 {}", nec.f2, nec.f1);
-    }
 
     #[test]
     fn std_nec_of_identical_points_is_zero() {

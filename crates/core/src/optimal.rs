@@ -9,17 +9,9 @@
 
 use crate::packing::{pack_subinterval, PackItem};
 use crate::Pool;
-use esched_opt::{EnergyProgram, SolveOptions, SolveResult, SolverTelemetry};
+use esched_opt::{EnergyProgram, SolveOptions, SolveResult, SolverKind, SolverTelemetry};
 use esched_subinterval::Timeline;
 use esched_types::{PolynomialPower, Schedule, TaskSet};
-
-/// Which method solves the convex program.
-///
-/// This is [`esched_opt::SolverKind`] re-exported under its historical
-/// name — existing `Solver::Fista`-style call sites keep compiling, while
-/// new code (the engine's `EngineConfig`, the solver study) can use the
-/// unified `SolverKind::solve` dispatch directly.
-pub use esched_opt::SolverKind as Solver;
 
 /// The optimal solution: energy, certificate, and a legal schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,8 +23,7 @@ pub struct OptimalSolution {
     /// Solver iterations used.
     pub iters: usize,
     /// Full solver telemetry (iterations, stalls, gap evaluations, wall
-    /// time) — what [`crate::nec::evaluate_nec_full`] forwards into run
-    /// reports.
+    /// time) — what the engine's `OptSummary` forwards into run reports.
     pub telemetry: SolverTelemetry,
     /// Per-task total execution times `X_i` at the optimum.
     pub total_times: Vec<f64>,
@@ -47,7 +38,7 @@ pub struct OptimalSolution {
 }
 
 /// Solve the energy program for `tasks` on `cores` cores and extract a
-/// schedule. Uses [`Solver::ProjectedGradient`]; see
+/// schedule. Uses [`SolverKind::ProjectedGradient`]; see
 /// [`optimal_energy_with`] to pick a solver.
 ///
 /// # Examples
@@ -73,7 +64,7 @@ pub fn optimal_energy(
     power: &PolynomialPower,
     opts: &SolveOptions,
 ) -> OptimalSolution {
-    optimal_energy_with(tasks, cores, power, opts, Solver::ProjectedGradient)
+    optimal_energy_with(tasks, cores, power, opts, SolverKind::ProjectedGradient)
 }
 
 /// [`optimal_energy`] with an explicit solver choice.
@@ -82,32 +73,21 @@ pub fn optimal_energy_with(
     cores: usize,
     power: &PolynomialPower,
     opts: &SolveOptions,
-    solver: Solver,
+    solver: SolverKind,
 ) -> OptimalSolution {
     let timeline = Timeline::build(tasks);
-    optimal_energy_in(tasks, &timeline, cores, power, opts, solver)
+    optimal_energy_in_pool(tasks, &timeline, cores, power, opts, solver, None)
 }
 
-/// [`optimal_energy_with`] against a caller-built [`Timeline`], so batch
-/// pipelines that already decomposed the instance (the engine runs the
-/// heuristics and the optimum off one timeline) don't rebuild it.
-pub fn optimal_energy_in(
-    tasks: &TaskSet,
-    timeline: &Timeline,
-    cores: usize,
-    power: &PolynomialPower,
-    opts: &SolveOptions,
-    solver: Solver,
-) -> OptimalSolution {
-    optimal_energy_in_pool(tasks, timeline, cores, power, opts, solver, None)
-}
-
-/// [`optimal_energy_in`] with an optional shared worker [`Pool`] for the
-/// decomposed solver ([`Solver::Admm`]) to fan its per-task subproblems
-/// across — the engine threads its intra-instance pool through here so
-/// one warm set of workers serves allocation *and* certification. `None`
-/// falls back to an env-sized pool; serial solvers ignore it either way,
-/// and results are byte-identical at any worker count.
+/// [`optimal_energy_with`] against a caller-built [`Timeline`], so a
+/// pipeline that already decomposed the instance (the engine runs the
+/// heuristics and the optimum off one timeline) doesn't rebuild it, and
+/// with an optional shared worker [`Pool`] for the decomposed solver
+/// ([`SolverKind::Admm`]) to fan its per-task subproblems across — the
+/// engine threads its intra-instance pool through here so one warm set of
+/// workers serves allocation *and* certification. `None` falls back to an
+/// env-sized pool; serial solvers ignore it either way, and results are
+/// byte-identical at any worker count.
 #[allow(clippy::too_many_arguments)]
 pub fn optimal_energy_in_pool(
     tasks: &TaskSet,
@@ -115,7 +95,7 @@ pub fn optimal_energy_in_pool(
     cores: usize,
     power: &PolynomialPower,
     opts: &SolveOptions,
-    solver: Solver,
+    solver: SolverKind,
     pool: Option<&Pool>,
 ) -> OptimalSolution {
     let ep = EnergyProgram::new(tasks, timeline, cores, *power);
@@ -348,18 +328,13 @@ mod tests {
     fn all_solvers_agree() {
         let ts = intro();
         let p = PolynomialPower::paper(3.0, 0.05);
-        let a = optimal_energy_with(
-            &ts,
-            2,
-            &p,
-            &SolveOptions::default(),
-            Solver::ProjectedGradient,
-        );
-        let b = optimal_energy_with(&ts, 2, &p, &SolveOptions::default(), Solver::Fista);
-        let c = optimal_energy_with(&ts, 2, &p, &SolveOptions::default(), Solver::FrankWolfe);
-        let d = optimal_energy_with(&ts, 2, &p, &SolveOptions::default(), Solver::InteriorPoint);
-        let e = optimal_energy_with(&ts, 2, &p, &SolveOptions::default(), Solver::BlockDescent);
-        let f = optimal_energy_with(&ts, 2, &p, &SolveOptions::default(), Solver::Admm);
+        let solve = |kind| optimal_energy_with(&ts, 2, &p, &SolveOptions::default(), kind);
+        let a = solve(SolverKind::ProjectedGradient);
+        let b = solve(SolverKind::Fista);
+        let c = solve(SolverKind::FrankWolfe);
+        let d = solve(SolverKind::InteriorPoint);
+        let e = solve(SolverKind::BlockDescent);
+        let f = solve(SolverKind::Admm);
         assert!((a.energy - b.energy).abs() < 1e-3 * (1.0 + a.energy));
         assert!((a.energy - c.energy).abs() < 1e-3 * (1.0 + a.energy));
         assert!((a.energy - d.energy).abs() < 2e-3 * (1.0 + a.energy));

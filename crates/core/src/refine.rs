@@ -274,6 +274,24 @@ pub fn final_assignment(
     }
 }
 
+/// The analytic half of final refinement: the assignment of Eq. 22-23
+/// over the per-task totals `A_i` of `avail` (which it keeps as
+/// [`FrequencyAssignment::avail`]), and its energy `E^F`. Every path that
+/// turns an allocation into a final energy (refinement, the online
+/// engine's replan, the shadow audit's replay) goes through here, so they
+/// agree bit for bit.
+pub fn assign_final(
+    tasks: &TaskSet,
+    avail: &AvailMatrix,
+    power: &PolynomialPower,
+) -> (FrequencyAssignment, f64) {
+    let total_avail = avail.totals();
+    let assignment = final_assignment(tasks, &total_avail, power);
+    let works: Vec<f64> = tasks.tasks().iter().map(|t| t.wcec).collect();
+    let energy = assignment.energy(&works, power);
+    (assignment, energy)
+}
+
 /// Materialize the final schedule: task `i` needs `d_i = C_i/f_i ≤ A_i`
 /// core time, spread over its available slots in proportion
 /// `x_{i,j} = a_{i,j}·d_i/A_i`, then packed per subinterval by Algorithm 1.
@@ -416,11 +434,11 @@ pub fn build_outcome_with(
     };
     let final_job = || refine_final(tasks, timeline, cores, power, &avail, scale);
     let serial = Pool::with_threads(1);
-    let ((intermediate, intermediate_energy), (total_avail, assignment, final_energy, schedule)) =
+    let ((intermediate, intermediate_energy), (assignment, final_energy, schedule)) =
         pool.unwrap_or(&serial).join(intermediate_job, final_job);
     HeuristicOutcome {
         avail,
-        total_avail,
+        total_avail: assignment.avail.clone(),
         assignment,
         intermediate_energy,
         final_energy,
@@ -462,7 +480,7 @@ pub fn refine_with(
     let intermediate_job = || intermediate_energy_with(timeline, cores, power, ideal, avail, items);
     let final_job = || refine_final(tasks, timeline, cores, power, avail, scale);
     let serial = Pool::with_threads(1);
-    let (intermediate_energy, (_, _, final_energy, schedule)) =
+    let (intermediate_energy, (_, final_energy, schedule)) =
         pool.unwrap_or(&serial).join(intermediate_job, final_job);
     Refined {
         intermediate_energy,
@@ -481,8 +499,8 @@ fn refine_span(tasks: &TaskSet, timeline: &Timeline, cores: usize) -> esched_obs
     )
 }
 
-/// The final half of refinement: the per-task totals `A_i`, the
-/// assignment of Eq. 22-23, its analytic energy `E^F`, and `S^F`.
+/// The final half of refinement: the assignment of Eq. 22-23, its
+/// analytic energy `E^F`, and `S^F`.
 fn refine_final(
     tasks: &TaskSet,
     timeline: &Timeline,
@@ -490,11 +508,8 @@ fn refine_final(
     power: &PolynomialPower,
     avail: &AvailMatrix,
     scale: &mut Vec<f64>,
-) -> (Vec<f64>, FrequencyAssignment, f64, Schedule) {
-    let total_avail = avail.totals();
-    let assignment = final_assignment(tasks, &total_avail, power);
-    let works: Vec<f64> = tasks.tasks().iter().map(|t| t.wcec).collect();
-    let energy = assignment.energy(&works, power);
+) -> (FrequencyAssignment, f64, Schedule) {
+    let (assignment, energy) = assign_final(tasks, avail, power);
     // Its own staging buffer: the intermediate build may be using the
     // scratch one at the same time.
     let schedule = final_schedule_with(
@@ -506,7 +521,7 @@ fn refine_final(
         &mut Vec::new(),
         scale,
     );
-    (total_avail, assignment, energy, schedule)
+    (assignment, energy, schedule)
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@
 //! non-blocking). [`AuditConfig::synchronous`] runs jobs inline on the
 //! caller instead, which tests use for determinism.
 
-use esched_core::{allocate, final_assignment, ideal_schedule, AllocRequest, Scratch};
+use esched_core::{allocate, assign_final, ideal_schedule, AllocRequest, Scratch};
 use esched_obs::health::HealthMonitor;
 use esched_opt::{EnergyProgram, SolveOptions, SolverKind};
 use esched_subinterval::Timeline;
@@ -158,10 +158,7 @@ impl AuditShared {
         let avail = allocate(
             AllocRequest::new(&job.tasks, &timeline, job.cores, &ideal).with_scratch(&mut scratch),
         );
-        let totals = avail.totals();
-        let assignment = final_assignment(&job.tasks, &totals, &job.power);
-        let works: Vec<f64> = job.tasks.tasks().iter().map(|t| t.wcec).collect();
-        let offline_energy = assignment.energy(&works, &job.power);
+        let (_, offline_energy) = assign_final(&job.tasks, &avail, &job.power);
         let diverged =
             self.divergence_check && offline_energy.to_bits() != job.live_energy.to_bits();
 

@@ -1,27 +1,53 @@
-//! The per-instance pipeline: one [`ScheduleRequest`] in, one
-//! [`ScheduleOutcome`] out, all hot allocations drawn from a worker's
-//! [`Scratch`].
+//! The per-instance pipeline. Every request ends in one [`finish`]: the
+//! offline [`execute`] builds a plan from scratch (timeline, ideal case,
+//! the chosen heuristic's allocation) and
+//! [`OnlineEngine::outcome`](crate::OnlineEngine::outcome) lends the plan
+//! it maintains; from there refinement, the `E^OPT` solve and NEC, the
+//! simulator verdict and the discrete stage are one code path, with all
+//! hot allocations drawn from a worker's [`Scratch`].
 
-use crate::config::{Algorithm, ScheduleRequest};
+use crate::config::{Algorithm, EngineConfig, ScheduleRequest};
 use crate::outcome::{DiscreteSummary, OptSummary, ScheduleOutcome, SimVerdict};
 use esched_core::{
     allocate, allocate_even, ideal_schedule, optimal_energy_in_pool, quantize_schedule,
-    refine_with, AllocRequest, NecPoint, Pool, QuantizePolicy, Refined, Scratch,
+    refine_with, AllocRequest, AvailMatrix, IdealSolution, NecPoint, Pool, QuantizePolicy, Refined,
+    Scratch,
 };
 use esched_obs::{RequestId, RequestScope, TraceCtx};
 use esched_sim::simulate;
 use esched_subinterval::Timeline;
+use esched_types::{PolynomialPower, TaskSet};
 use std::time::Instant;
 
-/// The intra pool when refinement should use it: by the allocator's rule,
-/// the pool has more than one worker and the timeline reaches the
-/// `intra_parallelism` threshold.
-pub(crate) fn refine_pool<'a>(
-    pool: Option<&'a Pool>,
-    threshold: Option<usize>,
-    timeline: &Timeline,
-) -> Option<&'a Pool> {
-    pool.filter(|p| p.threads() > 1 && threshold.is_some_and(|t| timeline.len() >= t))
+/// A borrowed plan: the instance and the stages [`finish`] starts from.
+pub(crate) struct Plan<'a> {
+    pub tasks: &'a TaskSet,
+    pub cores: usize,
+    pub power: &'a PolynomialPower,
+    pub timeline: &'a Timeline,
+    pub ideal: &'a IdealSolution,
+}
+
+/// `plan`'s availability matrix under `algorithm`. DER water-fills on
+/// the intra pool when the `intra_parallelism` knob is set.
+fn allocation(
+    algorithm: Algorithm,
+    plan: &Plan,
+    cfg: &EngineConfig,
+    scratch: &mut Scratch,
+    intra_pool: Option<&Pool>,
+) -> AvailMatrix {
+    match algorithm {
+        Algorithm::Even => allocate_even(plan.tasks, plan.timeline, plan.cores),
+        Algorithm::Der => {
+            let mut req = AllocRequest::new(plan.tasks, plan.timeline, plan.cores, plan.ideal)
+                .with_scratch(scratch);
+            if let (Some(threshold), Some(pool)) = (cfg.intra_parallelism, intra_pool) {
+                req = req.with_pool(pool).with_parallel_threshold(threshold);
+            }
+            allocate(req)
+        }
+    }
 }
 
 /// Run the full pipeline for one request.
@@ -59,78 +85,99 @@ pub fn execute(scratch: &mut Scratch, request: &ScheduleRequest) -> ScheduleOutc
 
     // The intra-instance pool is only materialized when the knob is set;
     // it shares sizing rules (`ESCHED_ENGINE_THREADS`) with the batch
-    // pool. It serves allocation (column chunks) and refinement (the
-    // intermediate and final schedules built side by side); both keep
-    // the outcome byte-identical either way.
+    // pool.
     let intra_pool = cfg.intra_parallelism.map(|_| Pool::new());
-    let refine_pool = refine_pool(intra_pool.as_ref(), cfg.intra_parallelism, &timeline);
-    let run_even = |scratch: &mut Scratch| -> Refined {
-        let avail = allocate_even(&request.tasks, &timeline, request.cores);
-        refine_with(
-            &request.tasks,
-            &timeline,
-            request.cores,
-            &request.power,
-            &ideal,
-            &avail,
-            scratch,
-            refine_pool,
-        )
+    let plan = Plan {
+        tasks: &request.tasks,
+        cores: request.cores,
+        power: &request.power,
+        timeline: &timeline,
+        ideal: &ideal,
     };
-    let run_der = |scratch: &mut Scratch| -> Refined {
-        let mut alloc_req = AllocRequest::new(&request.tasks, &timeline, request.cores, &ideal)
-            .with_scratch(&mut *scratch);
-        if let (Some(threshold), Some(pool)) = (cfg.intra_parallelism, intra_pool.as_ref()) {
-            alloc_req = alloc_req.with_pool(pool).with_parallel_threshold(threshold);
-        }
-        let avail = allocate(alloc_req);
-        refine_with(
-            &request.tasks,
-            &timeline,
-            request.cores,
-            &request.power,
-            &ideal,
-            &avail,
-            scratch,
-            refine_pool,
-        )
-    };
+    let t_alloc = Instant::now();
+    let avail = allocation(cfg.algorithm, &plan, cfg, scratch, intra_pool.as_ref());
+    let outcome = finish(
+        &plan,
+        &avail,
+        cfg,
+        scratch,
+        intra_pool.as_ref(),
+        trace,
+        t_alloc,
+    );
+    scratch.timeline.recycle(timeline);
+    outcome
+}
 
-    let t_phase = Instant::now();
-    let chosen = match cfg.algorithm {
-        Algorithm::Der => run_der(scratch),
-        Algorithm::Even => run_even(scratch),
+/// Everything after the plan: refine `avail` (the allocation of
+/// `cfg.algorithm`), and, as `cfg` asks, run the other heuristic and the
+/// `E^OPT` solve for the NEC, the simulator and the discrete stage.
+///
+/// The intra pool serves allocation, refinement (the intermediate and
+/// final schedules built side by side) and the decomposed solver; all
+/// keep the outcome byte-identical with or without it. The `der_alloc`
+/// phase is timed from `t_alloc`, so an offline request's covers its
+/// allocation too.
+pub(crate) fn finish(
+    plan: &Plan,
+    avail: &AvailMatrix,
+    cfg: &EngineConfig,
+    scratch: &mut Scratch,
+    intra_pool: Option<&Pool>,
+    mut trace: TraceCtx,
+    t_alloc: Instant,
+) -> ScheduleOutcome {
+    // Refinement takes the pool by the allocator's rule: more than one
+    // worker, and a timeline that reaches the `intra_parallelism`
+    // threshold.
+    let refine_pool = intra_pool.filter(|p| {
+        p.threads() > 1
+            && cfg
+                .intra_parallelism
+                .is_some_and(|t| plan.timeline.len() >= t)
+    });
+    let refine = |avail: &AvailMatrix, scratch: &mut Scratch| -> Refined {
+        refine_with(
+            plan.tasks,
+            plan.timeline,
+            plan.cores,
+            plan.power,
+            plan.ideal,
+            avail,
+            scratch,
+            refine_pool,
+        )
     };
-    trace.record_phase("der_alloc", t_phase.elapsed());
+    let chosen = refine(avail, scratch);
+    trace.record_phase("der_alloc", t_alloc.elapsed());
 
     let t_phase = Instant::now();
     let (opt, nec, opt_x) = match cfg.solver {
         Some(kind) => {
             // NEC normalizes *both* heuristics, so run the one not chosen
-            // above as well.
-            let other = match cfg.algorithm {
-                Algorithm::Der => run_even(scratch),
-                Algorithm::Even => run_der(scratch),
+            // as well.
+            let other_algorithm = match cfg.algorithm {
+                Algorithm::Der => Algorithm::Even,
+                Algorithm::Even => Algorithm::Der,
             };
+            let other_avail = allocation(other_algorithm, plan, cfg, scratch, intra_pool);
+            let other = refine(&other_avail, scratch);
             let (even, der) = match cfg.algorithm {
                 Algorithm::Der => (&other, &chosen),
                 Algorithm::Even => (&chosen, &other),
             };
-            // The decomposed solver reuses the intra-instance pool when
-            // one is materialized, so allocation and certification share
-            // a single set of workers; serial solvers ignore it.
             let sol = optimal_energy_in_pool(
-                &request.tasks,
-                &timeline,
-                request.cores,
-                &request.power,
+                plan.tasks,
+                plan.timeline,
+                plan.cores,
+                plan.power,
                 &cfg.solve_options,
                 kind,
-                intra_pool.as_ref(),
+                intra_pool,
             );
             let e = sol.energy;
             let nec = NecPoint {
-                ideal: ideal.energy / e,
+                ideal: plan.ideal.energy / e,
                 i1: even.intermediate_energy / e,
                 f1: even.final_energy / e,
                 i2: der.intermediate_energy / e,
@@ -150,11 +197,10 @@ pub fn execute(scratch: &mut Scratch, request: &ScheduleRequest) -> ScheduleOutc
         None => (None, None, None),
     };
     trace.record_phase("solve", t_phase.elapsed());
-    scratch.timeline.recycle(timeline);
 
     let t_phase = Instant::now();
     let sim = cfg.sim_verify.then(|| {
-        let report = simulate(&chosen.schedule, &request.tasks, &request.power);
+        let report = simulate(&chosen.schedule, plan.tasks, plan.power);
         SimVerdict {
             clean: report.is_clean(),
             deadline_misses: report.deadline_misses.len(),
@@ -185,5 +231,58 @@ pub fn execute(scratch: &mut Scratch, request: &ScheduleRequest) -> ScheduleOutc
         sim,
         discrete,
         trace: cfg.telemetry.then_some(trace),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Engine, EngineConfig, ScheduleRequest};
+    use esched_core::NecPoint;
+    use esched_opt::SolverKind;
+    use esched_types::{PolynomialPower, TaskSet};
+
+    /// The engine's NEC for the paper's worked VD example on four cores,
+    /// normalized by a projected-gradient `E^OPT`.
+    fn vd_nec() -> NecPoint {
+        let tasks = TaskSet::from_triples(&[
+            (0.0, 10.0, 8.0),
+            (2.0, 18.0, 14.0),
+            (4.0, 16.0, 8.0),
+            (6.0, 14.0, 4.0),
+            (8.0, 20.0, 10.0),
+            (12.0, 22.0, 6.0),
+        ]);
+        let request = ScheduleRequest::new(tasks, 4, PolynomialPower::cubic())
+            .with_config(EngineConfig::new().with_solver(SolverKind::ProjectedGradient));
+        let outcome = Engine::with_threads(1).run(&request).expect("engine run");
+        outcome.nec.expect("a solver was set")
+    }
+
+    #[test]
+    fn heuristic_necs_are_at_least_one() {
+        let nec = vd_nec();
+        for (label, v) in [
+            ("i1", nec.i1),
+            ("f1", nec.f1),
+            ("i2", nec.i2),
+            ("f2", nec.f2),
+        ] {
+            assert!(v >= 1.0 - 1e-4, "{label} = {v} below 1");
+        }
+        // Finals improve on intermediates.
+        assert!(nec.f1 <= nec.i1 + 1e-9);
+        assert!(nec.f2 <= nec.i2 + 1e-9);
+    }
+
+    #[test]
+    fn ideal_lower_bounds_opt_when_static_power_is_zero() {
+        let nec = vd_nec();
+        assert!(nec.ideal <= 1.0 + 1e-6, "ideal NEC = {}", nec.ideal);
+    }
+
+    #[test]
+    fn vd_example_f2_beats_f1() {
+        let nec = vd_nec();
+        assert!(nec.f2 < nec.f1, "f2 {} vs f1 {}", nec.f2, nec.f1);
     }
 }

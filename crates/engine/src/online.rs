@@ -41,20 +41,20 @@
 //!
 //! Every maintained structure is *bit-identical* to what the offline
 //! pipeline computes for the same final task set — the patch paths either
-//! reproduce the from-scratch result exactly or fall back to it — so
-//! [`OnlineEngine::outcome`] yields a [`ScheduleOutcome`] that compares
-//! (and JSON-encodes) byte-for-byte equal to [`Engine::run`](crate::Engine::run) on the
+//! reproduce the from-scratch result exactly or fall back to it — and
+//! [`OnlineEngine::outcome`] lends them to the one `finish` every offline
+//! request ends in (refinement, `E^OPT` and NEC, simulator, discrete
+//! stage). So the [`ScheduleOutcome`] compares (and JSON-encodes)
+//! byte-for-byte equal to [`Engine::run`](crate::Engine::run) on the
 //! equivalent request, at any worker count.
 
 use crate::audit::{AuditConfig, ShadowAuditor};
 use crate::config::{Algorithm, EngineConfig, ScheduleRequest};
-use crate::exec::refine_pool;
-use crate::outcome::{DiscreteSummary, OptSummary, ScheduleOutcome, SimVerdict};
+use crate::exec::{finish, Plan};
+use crate::outcome::ScheduleOutcome;
 use esched_core::{
-    allocate, allocate_even, final_assignment, final_schedule_with, ideal_schedule,
-    optimal_energy_in, quantize_schedule, refine_with, repair_der_in_place, AllocRequest,
-    AvailMatrix, DerRepairStats, IdealSolution, NecPoint, Pool, QuantizePolicy, Scratch,
-    DEFAULT_PARALLEL_THRESHOLD,
+    allocate, assign_final, final_schedule_with, ideal_schedule, repair_der_in_place, AllocRequest,
+    AvailMatrix, DerRepairStats, IdealSolution, Pool, Scratch, DEFAULT_PARALLEL_THRESHOLD,
 };
 use esched_obs::health::{HealthMonitor, SloPolicy};
 use esched_obs::{RequestId, RequestScope, TraceCtx};
@@ -186,7 +186,6 @@ pub struct OnlineEngine {
     timeline: Timeline,
     ideal: IdealSolution,
     avail: AvailMatrix,
-    total_avail: Vec<f64>,
     assignment: FrequencyAssignment,
     final_energy: f64,
     scratch: Scratch,
@@ -227,10 +226,7 @@ impl OnlineEngine {
         let avail = allocate(
             AllocRequest::new(&tasks, &timeline, cores, &ideal).with_scratch(&mut scratch),
         );
-        let total_avail = avail.totals();
-        let assignment = final_assignment(&tasks, &total_avail, &power);
-        let works: Vec<f64> = tasks.tasks().iter().map(|t| t.wcec).collect();
-        let final_energy = assignment.energy(&works, &power);
+        let (assignment, final_energy) = assign_final(&tasks, &avail, &power);
         Self {
             tasks: tasks.tasks().to_vec(),
             cores,
@@ -243,7 +239,6 @@ impl OnlineEngine {
             timeline,
             ideal,
             avail,
-            total_avail,
             assignment,
             final_energy,
             scratch,
@@ -458,10 +453,8 @@ impl OnlineEngine {
         // Totals and the final assignment are O(nnz) and O(n); recomputing
         // them in full keeps the Neumaier summation order — and therefore
         // the bits — identical to the offline pipeline.
-        self.total_avail = self.avail.totals();
-        self.assignment = final_assignment(&self.task_set, &self.total_avail, &self.power);
-        let works: Vec<f64> = self.tasks.iter().map(|t| t.wcec).collect();
-        self.final_energy = self.assignment.energy(&works, &self.power);
+        (self.assignment, self.final_energy) =
+            assign_final(&self.task_set, &self.avail, &self.power);
 
         let recertified = self.recertify.then(|| self.recertify_now());
         let elapsed_ns = t_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -595,118 +588,29 @@ impl OnlineEngine {
 
     /// Materialize the full [`ScheduleOutcome`] for the current plan.
     ///
-    /// This runs the same stages as the offline pipeline —
-    /// refinement/packing from the maintained availability matrix, the
-    /// optional solver, simulator, and discrete stages — substituting the
-    /// incrementally maintained timeline, ideal solution, and DER
-    /// allocation for their from-scratch counterparts. Because every
-    /// maintained structure is bit-identical to the offline stage's
-    /// output, so is the outcome.
+    /// The maintained timeline, ideal solution and DER allocation go to
+    /// the same `finish` that ends every offline request, in place of
+    /// their from-scratch counterparts. Because every maintained structure
+    /// is bit-identical to the offline stage's output, so is the outcome.
     pub fn outcome(&mut self) -> ScheduleOutcome {
         let request_id = RequestId::next();
         let _req_scope = RequestScope::enter(request_id);
         let _flight = esched_obs::flight_span!("online_outcome");
-        let mut trace = TraceCtx::new(request_id);
-        let cfg = self.config.clone();
-
-        let refine_pool = refine_pool(
-            self.intra_pool.as_ref(),
-            cfg.intra_parallelism,
-            &self.timeline,
-        );
-        let t_phase = Instant::now();
-        let chosen = refine_with(
-            &self.task_set,
-            &self.timeline,
-            self.cores,
-            &self.power,
-            &self.ideal,
-            &self.avail,
-            &mut self.scratch,
-            refine_pool,
-        );
-        trace.record_phase("der_alloc", t_phase.elapsed());
-
-        let t_phase = Instant::now();
-        let (opt, nec, opt_x) = match cfg.solver {
-            Some(kind) => {
-                // NEC normalizes both heuristics: run the evenly-allocating
-                // one from scratch (it has no incremental state to reuse).
-                let even_avail = allocate_even(&self.task_set, &self.timeline, self.cores);
-                let even = refine_with(
-                    &self.task_set,
-                    &self.timeline,
-                    self.cores,
-                    &self.power,
-                    &self.ideal,
-                    &even_avail,
-                    &mut self.scratch,
-                    refine_pool,
-                );
-                let sol = optimal_energy_in(
-                    &self.task_set,
-                    &self.timeline,
-                    self.cores,
-                    &self.power,
-                    &cfg.solve_options,
-                    kind,
-                );
-                let e = sol.energy;
-                let nec = NecPoint {
-                    ideal: self.ideal.energy / e,
-                    i1: even.intermediate_energy / e,
-                    f1: even.final_energy / e,
-                    i2: chosen.intermediate_energy / e,
-                    f2: chosen.final_energy / e,
-                    opt_energy: e,
-                };
-                let opt = OptSummary {
-                    solver: kind.name(),
-                    energy: sol.energy,
-                    gap: sol.gap,
-                    iters: sol.iters,
-                    converged: sol.telemetry.converged,
-                    telemetry: cfg.telemetry.then_some(sol.telemetry),
-                };
-                (Some(opt), Some(nec), Some(sol.x))
-            }
-            None => (None, None, None),
+        let plan = Plan {
+            tasks: &self.task_set,
+            cores: self.cores,
+            power: &self.power,
+            timeline: &self.timeline,
+            ideal: &self.ideal,
         };
-        trace.record_phase("solve", t_phase.elapsed());
-
-        let t_phase = Instant::now();
-        let sim = cfg.sim_verify.then(|| {
-            let report = simulate(&chosen.schedule, &self.task_set, &self.power);
-            SimVerdict {
-                clean: report.is_clean(),
-                deadline_misses: report.deadline_misses.len(),
-                conflicts: report.conflicts.len(),
-                energy: report.energy,
-            }
-        });
-        trace.record_phase("sim_verify", t_phase.elapsed());
-        let t_phase = Instant::now();
-        let discrete = cfg.discrete.as_ref().map(|table| {
-            let out = quantize_schedule(&chosen.schedule, table, QuantizePolicy::NextUp);
-            DiscreteSummary {
-                energy: out.energy,
-                misses: out.misses.len(),
-                feasible: out.feasible,
-            }
-        });
-        trace.record_phase("discrete", t_phase.elapsed());
-
-        ScheduleOutcome {
-            algorithm: cfg.algorithm,
-            energy: chosen.final_energy,
-            intermediate_energy: chosen.intermediate_energy,
-            schedule: chosen.schedule,
-            nec,
-            opt,
-            opt_x,
-            sim,
-            discrete,
-            trace: cfg.telemetry.then_some(trace),
-        }
+        finish(
+            &plan,
+            &self.avail,
+            &self.config,
+            &mut self.scratch,
+            self.intra_pool.as_ref(),
+            TraceCtx::new(request_id),
+            Instant::now(),
+        )
     }
 }

@@ -6,6 +6,7 @@ use esched_engine::online::{OnlineEngine, OnlineEvent};
 use esched_engine::{AuditConfig, Engine, EngineConfig};
 use esched_obs::health::{HealthState, SloPolicy};
 use esched_obs::json::ToJson;
+use esched_opt::SolverKind;
 use esched_types::{PolynomialPower, Task, TaskSet};
 use esched_workload::{GeneratorConfig, WorkloadGenerator};
 use std::time::Duration;
@@ -90,26 +91,29 @@ fn online_outcome_matches_offline_across_worker_counts() {
 
 /// With an intra pool at threshold 1 the online engine and the offline
 /// pipeline both refine on two threads (and the solver config refines
-/// the even allocation too); the outcomes stay byte-identical.
+/// the even allocation too); the outcomes stay byte-identical. ADMM also
+/// fans its per-task updates across that pool, which PGD ignores.
 #[test]
 fn online_outcome_matches_offline_with_intra_parallelism() {
-    let cfg = EngineConfig::new()
-        .with_solver(esched_opt::SolverKind::ProjectedGradient)
-        .with_intra_parallelism(1)
-        .with_telemetry(false);
-    let mut engine =
-        OnlineEngine::new(seed_set(), 4, PolynomialPower::paper(3.0, 0.1)).with_config(cfg);
-    assert_byte_identical(&mut engine, &[1, 4]);
-    for event in mixed_events() {
-        engine.apply(&event).expect("event rejected");
-        assert_byte_identical(&mut engine, &[1]);
+    for solver in [SolverKind::ProjectedGradient, SolverKind::Admm] {
+        let cfg = EngineConfig::new()
+            .with_solver(solver)
+            .with_intra_parallelism(1)
+            .with_telemetry(false);
+        let mut engine =
+            OnlineEngine::new(seed_set(), 4, PolynomialPower::paper(3.0, 0.1)).with_config(cfg);
+        assert_byte_identical(&mut engine, &[1, 4]);
+        for event in mixed_events() {
+            engine.apply(&event).expect("event rejected");
+            assert_byte_identical(&mut engine, &[1]);
+        }
     }
 }
 
 #[test]
 fn online_outcome_matches_offline_with_all_stages_enabled() {
     let cfg = EngineConfig::new()
-        .with_solver(esched_opt::SolverKind::ProjectedGradient)
+        .with_solver(SolverKind::ProjectedGradient)
         .with_sim_verify(true)
         .with_discrete(esched_types::DiscretePower::from_pairs(&[
             (0.3, 0.077),

@@ -5,7 +5,7 @@
 //! cargo run --release --example solver_comparison
 //! ```
 
-use esched::core::{analyze, optimal_energy_with, Solver};
+use esched::core::{analyze, optimal_energy_with};
 use esched::opt::{kkt_report, EnergyProgram, SolveOptions};
 use esched::prelude::*;
 use std::time::Instant;
@@ -25,13 +25,13 @@ fn main() {
         "solver", "E^OPT", "gap", "iters", "ms"
     );
     let solvers = [
-        ("projected gradient", Solver::ProjectedGradient),
-        ("FISTA", Solver::Fista),
-        ("Frank-Wolfe", Solver::FrankWolfe),
-        ("interior point", Solver::InteriorPoint),
-        ("block descent", Solver::BlockDescent),
+        ("projected gradient", SolverKind::ProjectedGradient),
+        ("FISTA", SolverKind::Fista),
+        ("Frank-Wolfe", SolverKind::FrankWolfe),
+        ("interior point", SolverKind::InteriorPoint),
+        ("block descent", SolverKind::BlockDescent),
     ];
-    let mut best: Option<(f64, Solver)> = None;
+    let mut best: Option<(f64, SolverKind)> = None;
     for (name, solver) in solvers {
         let t0 = Instant::now();
         let sol = optimal_energy_with(&tasks, cores, &power, &SolveOptions::default(), solver);
