@@ -24,11 +24,11 @@
 //!   evaluations of `S(t)` per task and round. The task's constants
 //!   (`γ(α−1)c^α` and its total box) are computed once per solve.
 //! * **z-update, one ρ-weighted capped-simplex projection per
-//!   subinterval** (`project_block`), solved exactly by a
-//!   deterministic breakpoint sweep. The breakpoints are all positive, so
-//!   they sort by their bit patterns as integers, then by index (on
-//!   `large_n(256)` about 40 blocks bind per round, ~47 breakpoints
-//!   each).
+//!   subinterval**, solved exactly by the crate's one projection kernel
+//!   (`project_block` in [`crate::projection`]): a deterministic breakpoint
+//!   sweep. The breakpoints are all positive, so they sort by their bit
+//!   patterns as integers, then by position (on `large_n(256)` about 40
+//!   blocks bind per round, ~47 breakpoints each).
 //!
 //! Both steps split exactly: the x-step per task, the z-step per
 //! subinterval. From `PARALLEL_MIN_TASKS` (64) tasks up, a solve runs its
@@ -77,6 +77,7 @@
 //! so a warm start that is already optimal returns after zero rounds.
 
 use crate::energy_program::{EnergyProgram, X_FLOOR};
+use crate::projection::project_block;
 use crate::scalar::newton_increasing;
 use crate::solver::{IterSample, SolveOptions, SolveResult, SolverTelemetry};
 use esched_obs::pool::Pool;
@@ -285,7 +286,7 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
                 let base = sub_vars[sub_cut[member]];
                 for j in sub_cut[member]..sub_cut[member + 1] {
                     let delta = ep.delta_of_sub(j);
-                    project_block(
+                    z_step_block(
                         ep.vars_of_sub(j),
                         delta,
                         ep.cores as f64 * delta,
@@ -663,7 +664,7 @@ struct Part {
     /// iterate of the next.
     shift: Vec<f64>,
     z: Vec<f64>,
-    /// [`project_block`]'s reusable sort buffer.
+    /// [`project_block`]'s reusable breakpoint buffer.
     events: Vec<(u64, usize, f64)>,
 }
 
@@ -681,34 +682,14 @@ fn balanced_cuts(prefix: &[usize], parts: usize) -> Vec<usize> {
     cut
 }
 
-/// The ρ-weighted projection of one subinterval's block onto its part of
-/// the feasible polytope: minimize `Σ_k ρ_k (z_k − w_k)²` over the flat
-/// variables `vars`, all with cap `delta`, subject to `0 ≤ z_k ≤ Δ_j` and
-/// `Σ_k z_k ≤ budget = m·Δ_j`. The projection of `vars[i]` goes to
-/// `out[i]`.
-///
-/// KKT gives `z_k = clamp(w_k − θ/ρ_k, 0, Δ_j)` with `θ ≥ 0` the
-/// multiplier of the budget constraint (`θ = 0` when the clamped point
-/// already fits). `S(θ) = Σ_k clamp(w_k − θ/ρ_k, 0, Δ_j)` is piecewise
-/// linear and non-increasing, so `θ` is found **exactly** by sweeping its
-/// breakpoints (`ρ_k(w_k − Δ_j)` where a share un-caps, `ρ_k·w_k` where
-/// it hits zero) in sorted order and solving the linear segment that
-/// crosses the budget. Exactness matters: with curvature-matched weights
-/// spanning `RHO_TASK_MIN..RHO_TASK_MAX`, a bisected `θ` accurate to
-/// 1e-13 relative would still leave O(θ_err/ρ_k) coordinate error on the
-/// smallest weights.
-///
-/// The sweep order is fixed: every breakpoint is `> 0` (or `+∞`), so it
-/// is sorted by its bit pattern, then by flat index, then by slope change
-/// (`total_cmp`; only an un-cap and a zero event of the same variable can
-/// tie on the first two, and the un-cap, whose change is negative, goes
-/// first). No two distinct events compare equal, so the unstable sort is
-/// deterministic and results are byte-identical across runs and worker
-/// counts. `events` is the caller's reusable buffer.
+/// The z-step on one subinterval's block: the ρ-weighted projection
+/// ([`project_block`]) of `w` over the flat variables `vars` (ascending),
+/// all capped at `delta`, onto `Σ_k z_k ≤ budget = m·Δ_j`. The
+/// projection of `vars[i]` goes to `out[i]`.
 ///
 /// # Panics
-/// On a NaN breakpoint ("finite breakpoints").
-fn project_block(
+/// On a NaN in `w` ("finite breakpoints").
+fn z_step_block(
     vars: &[usize],
     delta: f64,
     budget: f64,
@@ -717,60 +698,15 @@ fn project_block(
     events: &mut Vec<(u64, usize, f64)>,
     out: &mut [f64],
 ) {
-    let mut s0 = 0.0_f64;
-    for (o, &k) in out.iter_mut().zip(vars) {
-        let y = w[k].clamp(0.0, delta);
-        *o = y;
-        s0 += y;
-    }
-    if s0 <= budget {
-        return;
-    }
-    // Breakpoint sweep. Slope of S on the current segment is
-    // −Σ 1/ρ_k over shares strictly between their bounds.
-    events.clear();
-    let mut slope = 0.0_f64;
-    for &k in vars {
-        let t_uncap = rho[k] * (w[k] - delta);
-        let t_zero = rho[k] * w[k];
-        if t_zero <= 0.0 {
-            continue; // w_k ≤ 0: zero for every θ ≥ 0.
-        }
-        assert!(!t_zero.is_nan(), "finite breakpoints");
-        let inv = 1.0 / rho[k];
-        if t_uncap > 0.0 {
-            // Capped at θ = 0; becomes active at t_uncap.
-            events.push((t_uncap.to_bits(), k, -inv));
-        } else {
-            // Active at θ = 0.
-            slope -= inv;
-        }
-        events.push((t_zero.to_bits(), k, inv));
-    }
-    events.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.total_cmp(&b.2)));
-    let mut theta = 0.0_f64;
-    let mut s = s0;
-    let mut found = None;
-    for &(t, _, ds) in events.iter() {
-        let t = f64::from_bits(t);
-        let s_next = s + slope * (t - theta);
-        if s_next <= budget && slope < 0.0 {
-            found = Some(theta + (budget - s) / slope);
-            break;
-        }
-        s = s_next;
-        theta = t;
-        slope += ds;
-    }
-    let theta = match found {
-        Some(t) => t,
-        // S(θ) reaches 0 at the last breakpoint, and budget ≥ 0, so
-        // a crossing segment always exists unless budget is exactly 0.
-        None => events.last().map_or(0.0, |e| f64::from_bits(e.0)),
-    };
-    for (o, &k) in out.iter_mut().zip(vars) {
-        *o = (w[k] - theta / rho[k]).clamp(0.0, delta);
-    }
+    project_block(
+        vars.len(),
+        |i| w[vars[i]],
+        |i| rho[vars[i]],
+        |_| delta,
+        budget,
+        events,
+        |i, y| out[i] = y,
+    );
 }
 
 /// The per-task constants of [`task_prox`], fixed for a whole solve.
@@ -1183,8 +1119,8 @@ mod tests {
     }
 
     /// Reference sweep: the arithmetic of [`project_block`] with a stable
-    /// `sort_by` over `partial_cmp` on the breakpoint, then the index,
-    /// then the slope change.
+    /// `sort_by` over `partial_cmp` on the breakpoint, then the flat
+    /// index, then the slope change.
     fn project_block_reference(
         vars: &[usize],
         delta: f64,
@@ -1246,17 +1182,28 @@ mod tests {
         }
     }
 
-    /// Runs both sweeps on one block and requires equal bits.
+    /// Runs both sweeps on one block and requires equal bits. The block's
+    /// flat variables are spread out (`3i + 1`, NaN between them), so the
+    /// z-step's gather and the position order of the shared kernel's sort
+    /// are checked against the reference's flat-index order.
     fn assert_block_matches(case: usize, delta: f64, budget: f64, w: &[f64], rho: &[f64]) {
-        let vars: Vec<usize> = (0..w.len()).collect();
+        let vars: Vec<usize> = (0..w.len()).map(|i| 3 * i + 1).collect();
+        let spread = |v: &[f64]| {
+            let mut flat = vec![f64::NAN; 3 * v.len() + 1];
+            for (&k, &x) in vars.iter().zip(v) {
+                flat[k] = x;
+            }
+            flat
+        };
+        let (w, rho) = (spread(w), spread(rho));
         let mut events = Vec::new();
-        let mut got = vec![f64::NAN; w.len()];
-        project_block(&vars, delta, budget, w, rho, &mut events, &mut got);
+        let mut got = vec![f64::NAN; vars.len()];
+        z_step_block(&vars, delta, budget, &w, &rho, &mut events, &mut got);
         let mut want = vec![f64::NAN; w.len()];
-        project_block_reference(&vars, delta, budget, w, rho, &mut want);
+        project_block_reference(&vars, delta, budget, &w, &rho, &mut want);
         let (got, want): (Vec<u64>, Vec<u64>) = (
             got.iter().map(|y| y.to_bits()).collect(),
-            want.iter().map(|y| y.to_bits()).collect(),
+            vars.iter().map(|&k| want[k].to_bits()).collect(),
         );
         assert_eq!(got, want, "case {case}: delta {delta:e}, budget {budget:e}");
     }
@@ -1330,7 +1277,7 @@ mod tests {
     fn sweep_rejects_a_nan_breakpoint() {
         let w = [0.5, f64::NAN, 0.75];
         let mut out = [0.0; 3];
-        project_block(
+        z_step_block(
             &[0, 1, 2],
             1.0,
             1.0,

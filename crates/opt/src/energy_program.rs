@@ -28,7 +28,7 @@
 // zips would obscure the numerics. Silence clippy's range-loop lint here.
 #![allow(clippy::needless_range_loop)]
 
-use crate::projection::project_onto_budget;
+use crate::projection::project_block;
 use esched_subinterval::Timeline;
 use esched_types::{PolynomialPower, TaskSet};
 
@@ -209,35 +209,27 @@ impl EnergyProgram {
         }
     }
 
-    /// Project `z` onto the feasible polytope, blockwise per subinterval.
+    /// Project `z` onto the feasible polytope, blockwise per subinterval,
+    /// with the kernel of [`crate::projection`] at unit weights and cap
+    /// `Δ_j`. One breakpoint buffer serves every binding block.
+    ///
+    /// # Panics
+    /// On a NaN coordinate ("finite breakpoints").
     pub fn project(&self, z: &[f64], out: &mut [f64]) {
         assert_eq!(z.len(), self.dim);
         assert_eq!(out.len(), self.dim);
-        // Caps are uniform per block (`Δ_j`), so the box clamp and its sum
-        // go straight into `out`; only a block whose budget binds is staged
-        // for the multiplier search. Both buffers stay unallocated while
-        // no budget binds.
-        let mut zb: Vec<f64> = Vec::new();
-        let mut ob: Vec<f64> = Vec::new();
+        let mut events = Vec::new();
         for (j, vars) in self.block_vars.iter().enumerate() {
             let delta = self.deltas[j];
-            let cap = self.cores as f64 * delta;
-            let mut sum = 0.0;
-            for &k in vars {
-                let y = z[k].max(0.0).min(delta);
-                out[k] = y;
-                sum += y;
-            }
-            if sum <= cap {
-                continue;
-            }
-            zb.clear();
-            zb.extend(vars.iter().map(|&k| z[k]));
-            ob.resize(vars.len(), 0.0);
-            project_onto_budget(&zb, |_| delta, cap, &mut ob);
-            for (&k, &y) in vars.iter().zip(&ob) {
-                out[k] = y;
-            }
+            project_block(
+                vars.len(),
+                |i| z[vars[i]],
+                |_| 1.0,
+                |_| delta,
+                self.cores as f64 * delta,
+                &mut events,
+                |i, y| out[vars[i]] = y,
+            );
         }
     }
 
@@ -610,6 +602,15 @@ mod tests {
         let mut g = vec![-1.0; ep.dim()];
         g[3] = f64::NAN;
         ep.lmo(&g, &mut vec![0.0; ep.dim()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite breakpoints")]
+    fn projection_rejects_a_nan_coordinate() {
+        let (ep, _) = intro_program(2, 3.0, 0.01);
+        let mut z = vec![0.5; ep.dim()];
+        z[3] = f64::NAN;
+        ep.project(&z, &mut vec![0.0; ep.dim()]);
     }
 
     #[test]

@@ -23,6 +23,17 @@ use std::time::Instant;
 /// Run projected gradient descent from `x0` (must be feasible;
 /// use [`EnergyProgram::initial_point`]).
 pub fn solve_pgd(ep: &EnergyProgram, x0: Vec<f64>, opts: &SolveOptions) -> SolveResult {
+    pgd(ep, x0, opts, |z, out| ep.project(z, out))
+}
+
+/// [`solve_pgd`] with the projection onto the feasible polytope passed
+/// in, so that tests can run the method on an oracle projection.
+fn pgd(
+    ep: &EnergyProgram,
+    x0: Vec<f64>,
+    opts: &SolveOptions,
+    project: impl Fn(&[f64], &mut [f64]),
+) -> SolveResult {
     let dim = ep.dim();
     let x0 = crate::solver::sanitize_start(ep, x0);
     let _span = span!(
@@ -59,7 +70,7 @@ pub fn solve_pgd(ep: &EnergyProgram, x0: Vec<f64>, opts: &SolveOptions) -> Solve
             for k in 0..dim {
                 trial[k] = x[k] - step * g[k];
             }
-            ep.project(&trial, &mut cand);
+            project(&trial, &mut cand);
             let mut lin = 0.0;
             let mut dist2 = 0.0;
             for k in 0..dim {
@@ -283,6 +294,60 @@ mod tests {
                 r.objective
             );
             last = r.objective;
+        }
+    }
+
+    /// PGD on [`crate::projection::project_bisection`], staged block by
+    /// block: the projection [`EnergyProgram::project`] used before the
+    /// breakpoint sweep.
+    fn pgd_on_the_bisection_oracle(ep: &EnergyProgram, opts: &SolveOptions) -> SolveResult {
+        pgd(ep, ep.initial_point(), opts, |z, out| {
+            for j in 0..ep.subinterval_count() {
+                let vars = ep.vars_of_sub(j);
+                let zb: Vec<f64> = vars.iter().map(|&k| z[k]).collect();
+                let mut ob = vec![0.0; vars.len()];
+                let delta = ep.delta_of_sub(j);
+                crate::projection::project_bisection(
+                    &zb,
+                    &vec![delta; vars.len()],
+                    ep.capacity(j),
+                    &mut ob,
+                );
+                for (&k, &y) in vars.iter().zip(&ob) {
+                    out[k] = y;
+                }
+            }
+        })
+    }
+
+    /// Figure 10's law, as the `sweep-fig10` benchmark draws it: releases
+    /// uniform on [0, 200), work on [10, 30), intensity uniform on
+    /// [0.1, 1.0), n ∈ {5, 10, 15, 20} tasks on m = 4 cores, p₀ = 0.2.
+    /// On all 256 instances the breakpoint sweep keeps the oracle's
+    /// iteration count and its energy to 1e-12 relative.
+    #[test]
+    fn sweep_keeps_the_bisection_trajectory_on_figure_10_instances() {
+        let mut rng = esched_obs::rng::ChaCha8::seed_from_u64(0xf1_6010);
+        let opts = SolveOptions::fast();
+        for n in [5, 10, 15, 20] {
+            for set in 0..64 {
+                let triples: Vec<(f64, f64, f64)> = (0..n)
+                    .map(|_| {
+                        let release = rng.gen_range_f64(0.0, 200.0);
+                        let work = rng.gen_range_f64(10.0, 30.0);
+                        let deadline = release + work / rng.gen_range_f64(0.1, 1.0);
+                        (release, deadline, work)
+                    })
+                    .collect();
+                let ts = TaskSet::from_triples(&triples);
+                let tl = Timeline::build(&ts);
+                let ep = EnergyProgram::new(&ts, &tl, 4, PolynomialPower::paper(3.0, 0.2));
+                let got = solve_pgd(&ep, ep.initial_point(), &opts);
+                let want = pgd_on_the_bisection_oracle(&ep, &opts);
+                assert_eq!(got.iters, want.iters, "n = {n}, set {set}");
+                let rel = (got.objective - want.objective).abs() / want.objective.abs();
+                assert!(rel <= 1e-12, "n = {n}, set {set}: relative {rel:e}");
+            }
         }
     }
 }

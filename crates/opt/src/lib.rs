@@ -11,8 +11,9 @@
 //!
 //! * [`energy_program`] — the reformulated program (variables `x_{i,j}`,
 //!   blockwise capped-simplex feasible set, objective/gradient oracle),
-//! * [`projection`] — exact Euclidean projection onto one capped-simplex
-//!   block,
+//! * [`projection`] — the one exact (weighted) projection onto a
+//!   capped-simplex block, a sorted breakpoint sweep shared by the
+//!   program's projection and ADMM's z-step,
 //! * [`gradient`] / [`fista`] / [`frank_wolfe`] — three independent
 //!   first-order solvers (cross-checked in tests and ablation benches),
 //! * [`barrier`] — a structure-exploiting primal log-barrier interior

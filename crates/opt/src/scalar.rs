@@ -1,10 +1,11 @@
 //! One-dimensional solvers: bisection root finding, safeguarded Newton,
 //! and golden-section minimization.
 //!
-//! These primitives back the capped-simplex projection (dual bisection),
-//! the ADMM per-task prox (safeguarded Newton), Frank–Wolfe line search
-//! (golden section), and the power-curve fit (golden section over the
-//! exponent).
+//! These primitives back block-coordinate descent's waterfilling
+//! (bisection), the ADMM per-task prox (safeguarded Newton), Frank–Wolfe
+//! line search (golden section), and the power-curve fit (golden section
+//! over the exponent). The capped-simplex projection needs none of them:
+//! it solves its multiplier exactly by a breakpoint sweep.
 
 /// Default tolerance for scalar solves.
 pub const TOL: f64 = 1e-12;
