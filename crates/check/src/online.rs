@@ -7,6 +7,11 @@
 //! that the final online outcome is *byte-identical* to running the
 //! offline pipeline from scratch on the same final task set.
 //!
+//! A share of scripts also carries an `E^OPT` solver ([`OnlineScript::solver`]):
+//! the engine then re-certifies every repaired plan, and the final
+//! outcome, whose NEC solves `E^OPT` from the DER start, must still match
+//! the offline run byte for byte.
+//!
 //! The event generator is biased toward the replan patch's hard regions:
 //! arrivals snapped exactly onto (or within the dedup tolerance of)
 //! existing subinterval boundaries, arrivals beyond the current horizon,
@@ -20,9 +25,10 @@ use crate::corpus::fnv1a;
 use crate::gen::{gen_instance, jitter};
 use crate::instance::Instance;
 use crate::oracles::{panic_message, OracleClass, OracleViolation};
-use esched_engine::{Engine, OnlineEngine, OnlineEvent};
+use esched_engine::{Engine, EngineConfig, OnlineEngine, OnlineEvent};
 use esched_obs::json::{parse, type_error, FromJson, JsonError, ToJson, Value};
 use esched_obs::rng::ChaCha8;
+use esched_opt::{SolveOptions, SolverKind};
 use esched_types::time::EPS;
 use esched_types::validate::WORK_TOL;
 use esched_types::Task;
@@ -38,17 +44,47 @@ pub struct OnlineScript {
     pub instance: Instance,
     /// Events applied in order.
     pub events: Vec<OnlineEvent>,
+    /// The `E^OPT` solver of the engine's config, run under
+    /// [`SolveOptions::fast`]; `None` runs no solver. Serialized only when
+    /// set, so an entry without it replays as before.
+    pub solver: Option<SolverKind>,
 }
 
 impl OnlineScript {
-    /// Compact human-readable summary (`n=3 m=2 events=5`).
+    /// Compact human-readable summary (`n=3 m=2 events=5`, then
+    /// ` solver=pgd` when a solver is set).
     pub fn summary(&self) -> String {
+        let solver = self
+            .solver
+            .map_or(String::new(), |k| format!(" solver={}", k.name()));
         format!(
-            "n={} m={} events={}",
+            "n={} m={} events={}{solver}",
             self.instance.tasks.len(),
             self.instance.cores,
             self.events.len()
         )
+    }
+
+    /// The online engine this script starts from.
+    fn engine(&self) -> OnlineEngine {
+        let engine = OnlineEngine::new(
+            self.instance.tasks.clone(),
+            self.instance.cores,
+            self.instance.power,
+        );
+        match self.solver {
+            Some(kind) => engine
+                .with_config(
+                    // Telemetry carries wall times, which no two runs
+                    // share; canonical outputs leave it out.
+                    EngineConfig::new()
+                        .with_solver(kind)
+                        .with_solve_options(SolveOptions::fast())
+                        .with_telemetry(false),
+                )
+                .with_recertify(true),
+            None => engine,
+        }
     }
 
     /// Parse a script from its JSON text.
@@ -128,6 +164,9 @@ impl ToJson for OnlineScript {
             "events".into(),
             Value::Arr(self.events.iter().map(event_to_json).collect()),
         ));
+        if let Some(kind) = self.solver {
+            obj.push(("solver".into(), Value::Str(kind.name().into())));
+        }
         Value::Obj(obj)
     }
 }
@@ -142,7 +181,19 @@ impl FromJson for OnlineScript {
             .iter()
             .map(event_from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { instance, events })
+        let solver = match value.get("solver") {
+            None => None,
+            Some(v) => Some(
+                v.as_str()
+                    .and_then(SolverKind::from_name)
+                    .ok_or_else(|| type_error("OnlineScript: unknown `solver`"))?,
+            ),
+        };
+        Ok(Self {
+            instance,
+            events,
+            solver,
+        })
     }
 }
 
@@ -330,8 +381,10 @@ fn gen_shift(rng: &mut ChaCha8, mirror: &[Task]) -> OnlineEvent {
 }
 
 /// Draw one online fuzz case: an adversarial seed instance (via
-/// [`gen_instance`]) plus 2–8 valid events. Deterministic given the RNG
-/// state.
+/// [`gen_instance`]) plus 2–8 valid events, and last the solver: PGD on
+/// a quarter of scripts, ADMM on an eighth. Drawn last, the solver leaves
+/// a seed's instance and events what they are without it. Deterministic
+/// given the RNG state.
 pub fn gen_online(rng: &mut ChaCha8) -> OnlineScript {
     let instance = gen_instance(rng);
     let mut mirror: Vec<Task> = instance.tasks.iter().map(|(_, t)| *t).collect();
@@ -346,7 +399,16 @@ pub fn gen_online(rng: &mut ChaCha8) -> OnlineScript {
         apply_to_mirror(&mut mirror, &event);
         events.push(event);
     }
-    OnlineScript { instance, events }
+    let solver = match rng.gen_range_usize(0, 8) {
+        0 | 1 => Some(SolverKind::ProjectedGradient),
+        2 => Some(SolverKind::Admm),
+        _ => None,
+    };
+    OnlineScript {
+        instance,
+        events,
+        solver,
+    }
 }
 
 fn event_summary(event: &OnlineEvent) -> String {
@@ -365,11 +427,7 @@ fn event_summary(event: &OnlineEvent) -> String {
 
 fn run_script(script: &OnlineScript) -> Vec<OracleViolation> {
     let mut out = Vec::new();
-    let mut engine = OnlineEngine::new(
-        script.instance.tasks.clone(),
-        script.instance.cores,
-        script.instance.power,
-    );
+    let mut engine = script.engine();
     for (k, event) in script.events.iter().enumerate() {
         if let Err(e) = engine.apply(event) {
             out.push(OracleViolation {
@@ -492,6 +550,7 @@ fn drop_event(script: &OnlineScript, idx: usize) -> Option<OnlineScript> {
     let out = OnlineScript {
         instance: script.instance.clone(),
         events,
+        solver: script.solver,
     };
     script_is_valid(&out).then_some(out)
 }
@@ -524,6 +583,7 @@ fn drop_seed_task(script: &OnlineScript, k: usize) -> Option<OnlineScript> {
     let out = OnlineScript {
         instance: Instance::new(tasks, script.instance.cores, script.instance.power),
         events,
+        solver: script.solver,
     };
     script_is_valid(&out).then_some(out)
 }
@@ -685,6 +745,7 @@ mod tests {
                     deadline: 9.0,
                 },
             ],
+            solver: None,
         }
     }
 
@@ -697,13 +758,47 @@ mod tests {
     }
 
     #[test]
+    fn a_solver_round_trips_and_its_absence_reads_as_none() {
+        let mut script = sample_script();
+        let text = script.to_json().to_string_pretty();
+        assert!(!text.contains("solver"));
+        assert_eq!(OnlineScript::from_json_str(&text).unwrap().solver, None);
+        script.solver = Some(SolverKind::Admm);
+        let text = script.to_json().to_string_pretty();
+        assert_eq!(OnlineScript::from_json_str(&text).unwrap(), script);
+        let bad = text.replace("\"admm\"", "\"simplex\"");
+        assert!(OnlineScript::from_json_str(&bad).is_err());
+    }
+
+    #[test]
+    fn sample_script_replays_clean_with_each_solver() {
+        for kind in [SolverKind::ProjectedGradient, SolverKind::Admm] {
+            let script = OnlineScript {
+                solver: Some(kind),
+                ..sample_script()
+            };
+            let v = check_online(&script);
+            assert!(v.is_empty(), "{}: {v:?}", kind.name());
+        }
+    }
+
+    #[test]
     fn generated_scripts_are_valid_and_deterministic() {
+        let mut solvers = Vec::new();
         for seed in 0..50u64 {
             let a = gen_online(&mut ChaCha8::seed_from_u64(seed));
             let b = gen_online(&mut ChaCha8::seed_from_u64(seed));
             assert_eq!(a, b, "seed {seed} not deterministic");
             assert!(script_is_valid(&a), "seed {seed} generated invalid script");
             assert!(!a.events.is_empty());
+            solvers.push(a.solver);
+        }
+        for kind in [
+            None,
+            Some(SolverKind::ProjectedGradient),
+            Some(SolverKind::Admm),
+        ] {
+            assert!(solvers.contains(&kind), "no script drew {kind:?}");
         }
     }
 
@@ -808,6 +903,7 @@ mod tests {
                 release: 20.0,
                 deadline: 100.0 - 5e-6,
             }],
+            solver: None,
         };
         let violation = OracleViolation {
             class: OracleClass::Online,

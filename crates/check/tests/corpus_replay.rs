@@ -99,6 +99,7 @@ fn online_shift_within_tolerance_of_existing_boundary() {
             release: 20.0,
             deadline: 100.0 - 5e-6,
         }],
+        solver: None,
     };
     assert_online_clean(&script, "within-tolerance shifted deadline");
 }

@@ -3,22 +3,39 @@
 //!
 //! The paper normalizes every experimental result by the optimum of the
 //! reformulated convex program. This module solves the program with a
-//! pluggable first-order solver from `esched-opt` and — implementing the
-//! second half of Theorem 1's proof — materializes the optimal `x_{i,j}`
-//! into a collision-free schedule via Algorithm 1.
+//! pluggable solver from `esched-opt` and — implementing the second half
+//! of Theorem 1's proof — materializes the optimal `x_{i,j}` into a
+//! collision-free schedule via Algorithm 1.
+//!
+//! Unless the caller brings its own start, a solve starts at the DER
+//! heuristic's final schedule `S^F2` (Section V.C): its per-subinterval
+//! execution times `a_{i,j}·min(1, (C_i/f_i)/A_i)` are a feasible point of
+//! the same program whose objective is `E^F2`, typically within a few
+//! percent of the optimum. So a descent solver starts close, and the
+//! `E^OPT ≤ E^F2` lower bound holds by construction.
 
+use crate::allocation::{allocate, AllocRequest};
+use crate::ideal::ideal_schedule;
 use crate::packing::{pack_subinterval, PackItem};
+use crate::refine::{final_assignment, final_scale};
 use crate::Pool;
 use esched_opt::{EnergyProgram, SolveOptions, SolveResult, SolverKind, SolverTelemetry};
 use esched_subinterval::Timeline;
+use esched_types::time::EPS;
 use esched_types::{PolynomialPower, Schedule, TaskSet};
 
 /// The optimal solution: energy, certificate, and a legal schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimalSolution {
-    /// Optimal energy `E^OPT` (the experiment normalizer).
+    /// Optimal energy `E^OPT` (the experiment normalizer): the solver's
+    /// objective at its returned iterate, before the dust clean and the
+    /// starvation repair move [`OptimalSolution::x`].
     pub energy: f64,
-    /// Certified duality gap (upper bound on suboptimality).
+    /// The solver's certified duality gap (an upper bound on the
+    /// suboptimality of [`OptimalSolution::energy`]), taken at the
+    /// solver's iterate. It is *not* re-certified after the dust clean and
+    /// the starvation repair, so it does not bound the gap of the returned
+    /// [`OptimalSolution::x`], which those steps may have moved.
     pub gap: f64,
     /// Solver iterations used.
     pub iters: usize,
@@ -88,6 +105,20 @@ pub fn optimal_energy_with(
 /// workers serves allocation *and* certification. `None` falls back to an
 /// env-sized pool; serial solvers ignore it either way, and results are
 /// byte-identical at any worker count.
+///
+/// **Start point.** When `opts` carries neither
+/// [`SolveOptions::warm_start`] nor [`SolveOptions::warm_start_dual`],
+/// the solve starts at `S^F2`: this function runs [`ideal_schedule`] and
+/// a serial DER [`allocate`] on `timeline`, scales each task's row
+/// `a_{i,j}` by `min(1, (C_i/f_i)/A_i)` with `f_i` the final frequency of
+/// Eq. 22-23, and passes the result as the warm start. The point is
+/// feasible and its objective is `E^F2`, so a descent solver
+/// ([`SolverKind::ProjectedGradient`]) returns `energy ≤ E^F2` up to
+/// rounding. [`SolverKind::Admm`] also starts its duals at `y = −∇E(x₀)`,
+/// the consensus dual's value at an optimum. The interior point ignores
+/// warm starts, so it gets no seed; nor does an instance where some task's
+/// DER total is ≤ `EPS` (the row cannot be scaled), which starts cold. A
+/// caller's own start always wins and is used as given.
 #[allow(clippy::too_many_arguments)]
 pub fn optimal_energy_in_pool(
     tasks: &TaskSet,
@@ -99,6 +130,14 @@ pub fn optimal_energy_in_pool(
     pool: Option<&Pool>,
 ) -> OptimalSolution {
     let ep = EnergyProgram::new(tasks, timeline, cores, *power);
+    let seeded;
+    let opts = match der_seed(&ep, tasks, timeline, cores, power, opts, solver) {
+        Some(seed) => {
+            seeded = seed;
+            &seeded
+        }
+        None => opts,
+    };
     let mut result: SolveResult = match pool {
         Some(pool) => solver.solve_in(&ep, opts, pool),
         None => solver.solve(&ep, opts),
@@ -128,6 +167,52 @@ pub fn optimal_energy_in_pool(
         schedule,
         x: result.x,
     }
+}
+
+/// `opts` with `S^F2` as its start (see [`optimal_energy_in_pool`]), or
+/// `None` where the solve keeps `opts` as given: the caller set a start,
+/// the solver takes none, or a DER total is ≤ `EPS`.
+fn der_seed(
+    ep: &EnergyProgram,
+    tasks: &TaskSet,
+    timeline: &Timeline,
+    cores: usize,
+    power: &PolynomialPower,
+    opts: &SolveOptions,
+    solver: SolverKind,
+) -> Option<SolveOptions> {
+    if opts.warm_start.is_some()
+        || opts.warm_start_dual.is_some()
+        || solver == SolverKind::InteriorPoint
+    {
+        return None;
+    }
+    let ideal = ideal_schedule(tasks, power);
+    let avail = allocate(AllocRequest::new(tasks, timeline, cores, &ideal));
+    let assignment = final_assignment(tasks, &avail.totals(), power);
+    if assignment.avail.iter().any(|&a| a <= EPS) {
+        return None;
+    }
+    let mut scale = Vec::new();
+    final_scale(tasks, &assignment, &mut scale);
+    let mut x = vec![0.0; ep.dim()];
+    for sub in timeline.subintervals() {
+        for (&i, &a) in sub.overlapping.iter().zip(avail.col(sub.index)) {
+            let k = ep.flat_index(i, sub.index).expect("span index");
+            x[k] = a * scale[i];
+        }
+    }
+    let dual = (solver == SolverKind::Admm).then(|| {
+        let mut g = vec![0.0; ep.dim()];
+        ep.gradient(&x, &mut g);
+        g.iter_mut().for_each(|v| *v = -*v);
+        g
+    });
+    Some(SolveOptions {
+        warm_start: Some(x),
+        warm_start_dual: dual,
+        ..opts.clone()
+    })
 }
 
 /// Zero out solver "dust": first-order methods leave tiny positive
@@ -177,7 +262,6 @@ fn repair_starved(
     power: &PolynomialPower,
     x: &mut [f64],
 ) {
-    use esched_types::time::EPS;
     esched_obs::metric_counter!("esched.core.repair_starved_calls").inc();
     let mut used = vec![0.0; timeline.len()];
     for i in 0..tasks.len() {
@@ -299,10 +383,145 @@ fn extract_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::der::der_schedule;
+    use crate::refine::tests::arb_instance;
+    use esched_obs::rng::ChaCha8;
     use esched_types::{validate_schedule, PowerModel};
+    use esched_workload::{GeneratorConfig, IntensityDist, WorkloadGenerator};
 
     fn intro() -> TaskSet {
         TaskSet::from_triples(&[(0.0, 12.0, 4.0), (2.0, 10.0, 2.0), (4.0, 8.0, 4.0)])
+    }
+
+    /// The paper's worked VD example: six tasks that contend on four
+    /// cores.
+    fn vd() -> TaskSet {
+        TaskSet::from_triples(&[
+            (0.0, 10.0, 8.0),
+            (2.0, 18.0, 14.0),
+            (4.0, 16.0, 8.0),
+            (6.0, 14.0, 4.0),
+            (8.0, 20.0, 10.0),
+            (12.0, 22.0, 6.0),
+        ])
+    }
+
+    /// `per_n` task sets for each of Figure 10's first four task counts
+    /// (`sweep-fig10`'s law: intensity uniform on [0.1, 1]).
+    fn fig10_law_sets(per_n: u64) -> impl Iterator<Item = TaskSet> {
+        [5, 10, 15, 20].into_iter().flat_map(move |n| {
+            let config = GeneratorConfig::paper_default()
+                .with_tasks(n)
+                .with_intensity(IntensityDist::Uniform { lo: 0.1, hi: 1.0 });
+            (0..per_n).map(move |k| WorkloadGenerator::new(config, 901 + k).generate())
+        })
+    }
+
+    /// On the PGD path `E^OPT ≤ E^F2`: the solve starts at `S^F2`, whose
+    /// objective is `E^F2`, and PGD only descends.
+    fn assert_opt_below_f2(tasks: &TaskSet, cores: usize, power: &PolynomialPower) {
+        let opt = optimal_energy(tasks, cores, power, &SolveOptions::fast());
+        let f2 = der_schedule(tasks, cores, power).final_energy;
+        assert!(
+            opt.energy <= f2 * (1.0 + 1e-12),
+            "E^OPT {} above E^F2 {f2} ({} tasks, {cores} cores)",
+            opt.energy,
+            tasks.len()
+        );
+    }
+
+    #[test]
+    fn opt_lower_bounds_der_final_energy() {
+        let power = PolynomialPower::paper(3.0, 0.2);
+        for tasks in fig10_law_sets(10) {
+            assert_opt_below_f2(&tasks, 4, &power);
+        }
+        let mut rng = ChaCha8::seed_from_u64(0x5eed_0f20);
+        for _ in 0..300 {
+            let (tasks, cores, power) = arb_instance(&mut rng);
+            assert_opt_below_f2(&tasks, cores, &power);
+        }
+    }
+
+    #[test]
+    #[ignore = "release-size: 1,600 sets; run with --release --include-ignored"]
+    fn opt_lower_bounds_der_final_energy_on_1600_fig10_sets() {
+        let power = PolynomialPower::paper(3.0, 0.2);
+        for tasks in fig10_law_sets(400) {
+            assert_opt_below_f2(&tasks, 4, &power);
+        }
+    }
+
+    #[test]
+    fn a_light_timeline_is_solved_at_its_start() {
+        // With n ≤ m every subinterval is light: each task has its whole
+        // window, so S^F2 is the ideal S^O and already optimal.
+        let tasks = intro();
+        for power in [PolynomialPower::cubic(), PolynomialPower::paper(3.0, 0.2)] {
+            for cores in [3, 4] {
+                let opts = SolveOptions::default();
+                let sol = optimal_energy(&tasks, cores, &power, &opts);
+                assert!(sol.iters <= 1, "{} iterations", sol.iters);
+                assert!(sol.telemetry.converged);
+                assert!(
+                    sol.gap <= opts.gap_tol * (1.0 + sol.energy),
+                    "gap {}",
+                    sol.gap
+                );
+                let f2 = der_schedule(&tasks, cores, &power).final_energy;
+                assert!(
+                    (sol.energy - f2).abs() <= 1e-12 * f2,
+                    "{} vs {f2}",
+                    sol.energy
+                );
+            }
+        }
+    }
+
+    /// `optimal_energy_with` run on a caller's start is the solver's own
+    /// run on it, then the dust clean and the repair.
+    fn assert_solved_as_given(opts: &SolveOptions, solver: SolverKind) {
+        let (tasks, cores, power) = (vd(), 4, PolynomialPower::paper(3.0, 0.1));
+        let timeline = Timeline::build(&tasks);
+        let ep = EnergyProgram::new(&tasks, &timeline, cores, power);
+        let direct = solver.solve(&ep, opts);
+        let mut x = direct.x.clone();
+        clean_dust(&ep, &tasks, &timeline, &mut x);
+        repair_starved(&ep, &tasks, &timeline, cores, &power, &mut x);
+        let sol = optimal_energy_with(&tasks, cores, &power, opts, solver);
+        assert_eq!(sol.energy.to_bits(), direct.objective.to_bits());
+        assert_eq!(sol.gap.to_bits(), direct.gap.to_bits());
+        assert_eq!(sol.iters, direct.iters);
+        assert_eq!(sol.x, x);
+    }
+
+    #[test]
+    fn a_caller_start_is_used_as_given() {
+        let (tasks, power) = (vd(), PolynomialPower::paper(3.0, 0.1));
+        let timeline = Timeline::build(&tasks);
+        let ep = EnergyProgram::new(&tasks, &timeline, 4, power);
+        let fast = SolveOptions::fast();
+        let primal = fast.clone().with_warm_start(ep.initial_point());
+        let dual = fast.clone().with_warm_start_dual(vec![0.0; ep.dim()]);
+        for solver in [SolverKind::ProjectedGradient, SolverKind::Admm] {
+            assert_solved_as_given(&primal, solver);
+            assert_solved_as_given(&dual, solver);
+        }
+        // The interior point takes no start, so it is never seeded.
+        assert_solved_as_given(&fast, SolverKind::InteriorPoint);
+        // Without a caller start the solve is seeded: it leaves the cold
+        // trajectory, and needs no more iterations.
+        for solver in [SolverKind::ProjectedGradient, SolverKind::Admm] {
+            let cold = solver.solve(&ep, &fast);
+            let seeded = optimal_energy_with(&tasks, 4, &power, &fast, solver);
+            assert_ne!(seeded.energy.to_bits(), cold.objective.to_bits());
+            assert!(
+                seeded.iters <= cold.iters,
+                "{} > {}",
+                seeded.iters,
+                cold.iters
+            );
+        }
     }
 
     #[test]

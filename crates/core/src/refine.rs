@@ -324,21 +324,7 @@ pub fn final_schedule_with(
     items: &mut Vec<PackItem>,
     scale: &mut Vec<f64>,
 ) -> Schedule {
-    let n = tasks.len();
-    // Per-task scale factor d_i / A_i ∈ (0, 1].
-    scale.clear();
-    scale.resize(n, 0.0);
-    for (i, t) in tasks.iter() {
-        let d = t.wcec / assignment.freq[i];
-        let a = assignment.avail[i];
-        debug_assert!(
-            d <= a.max(EPS) * (1.0 + 1e-9),
-            "duration {d} exceeds avail {a}"
-        );
-        // Guard the ~0-availability degenerate: scale 0 (no time to give)
-        // rather than dividing into inf/NaN.
-        scale[i] = if a > 0.0 { (d / a).min(1.0) } else { 0.0 };
-    }
+    final_scale(tasks, assignment, scale);
     let mut out = Schedule::with_capacity(cores, packed_capacity(timeline, cores));
     let mut tails = CoreTails::new(cores);
     // Scaled-usage staging: one flat gather-multiply over the column's
@@ -382,6 +368,25 @@ pub fn final_schedule_with(
     // freed, already resident pages for it).
     out.shrink_to_fit();
     out
+}
+
+/// Per-task scale factor `d_i/A_i ∈ [0, 1]` of the final schedule, into
+/// `scale`: task `i` runs `d_i = C_i/f_i` of its `A_i`, so `a_{i,j}·scale_i`
+/// is its execution time in subinterval `j`.
+pub(crate) fn final_scale(tasks: &TaskSet, assignment: &FrequencyAssignment, scale: &mut Vec<f64>) {
+    scale.clear();
+    scale.resize(tasks.len(), 0.0);
+    for (i, t) in tasks.iter() {
+        let d = t.wcec / assignment.freq[i];
+        let a = assignment.avail[i];
+        debug_assert!(
+            d <= a.max(EPS) * (1.0 + 1e-9),
+            "duration {d} exceeds avail {a}"
+        );
+        // Guard the ~0-availability degenerate: scale 0 (no time to give)
+        // rather than dividing into inf/NaN.
+        scale[i] = if a > 0.0 { (d / a).min(1.0) } else { 0.0 };
+    }
 }
 
 /// Assemble the full [`HeuristicOutcome`] from an availability matrix.
@@ -525,7 +530,7 @@ fn refine_final(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::allocation::{allocate, allocate_even, AllocRequest};
     use crate::ideal::ideal_schedule;
@@ -723,7 +728,7 @@ mod tests {
     /// tasks), with times on a coarse grid so windows share boundaries,
     /// some boundaries nudged by a sub-`EPS` amount so the timeline has
     /// sliver subintervals, and some tasks carrying dust-sized work.
-    fn arb_instance(rng: &mut ChaCha8) -> (TaskSet, usize, PolynomialPower) {
+    pub(crate) fn arb_instance(rng: &mut ChaCha8) -> (TaskSet, usize, PolynomialPower) {
         let n = rng.gen_range_usize(1, 11);
         let nudge = |rng: &mut ChaCha8, t: f64| {
             if rng.gen_bool(0.2) {

@@ -261,14 +261,12 @@ mod tests {
     #[test]
     fn heuristic_necs_are_at_least_one() {
         let nec = vd_nec();
-        for (label, v) in [
-            ("i1", nec.i1),
-            ("f1", nec.f1),
-            ("i2", nec.i2),
-            ("f2", nec.f2),
-        ] {
+        for (label, v) in [("i1", nec.i1), ("f1", nec.f1), ("i2", nec.i2)] {
             assert!(v >= 1.0 - 1e-4, "{label} = {v} below 1");
         }
+        // The solve starts at S^F2 and PGD only descends, so f2 is at
+        // least 1 up to rounding.
+        assert!(nec.f2 >= 1.0 - 1e-12, "f2 = {} below 1", nec.f2);
         // Finals improve on intermediates.
         assert!(nec.f1 <= nec.i1 + 1e-9);
         assert!(nec.f2 <= nec.i2 + 1e-9);
