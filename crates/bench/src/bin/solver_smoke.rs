@@ -1,8 +1,7 @@
 //! `solver_smoke` — the CI gate for the decomposed ADMM E^OPT solver.
 //!
-//! Three checks at n = 4096 (grid-snapped `WorkloadSpec::large_n`, the
-//! scale where a full interior-point solve takes minutes), all fatal on
-//! failure:
+//! Two checks at n = 4096 (grid-snapped `WorkloadSpec::large_n`), both
+//! fatal on failure:
 //!
 //! 1. **Fig8-style cores sweep certifies**: every point of the
 //!    `m ∈ {2, 4, 6, 8, 10, 12}` sweep (`α = 3`, `p₀ = 0.2`), solved by
@@ -10,22 +9,16 @@
 //!    between sweep positions, must converge AND pass the independent
 //!    KKT certificate at 1e-5 — the same bar every serial solver is held
 //!    to.
-//! 2. **≥5× vs interior point**: the best-of-3 cold ADMM solve at
-//!    `m = 4` must beat the best-of-3 interior-point time by at least
-//!    5×. The interior-point runs are capped at `IP_ITER_CAP` iterations
-//!    (two Newton steps, about a minute a run) to keep the job bounded:
-//!    a capped run that is *still* slower than 5× ADMM without having
-//!    converged lower-bounds the full solve, so the comparison stays
-//!    honest while CI stays minutes, not hours.
-//! 3. **Byte-identity across worker counts**: the cold `m = 4` solve
-//!    repeated on explicit 1-, 4-, and 8-worker pools must agree
-//!    bit-for-bit in primal, dual, objective, gap, and iteration count.
+//! 2. **Byte-identity across worker counts**: the cold `m = 4` solve
+//!    must converge, and repeated on explicit 1-, 4-, and 8-worker pools
+//!    must agree bit-for-bit in primal, dual, objective, gap, and
+//!    iteration count.
 //!    CI additionally launches this binary under
 //!    `ESCHED_ENGINE_THREADS=4`, which sizes every pool the harness
 //!    creates implicitly; the explicit pools cover 1 and 8 regardless.
 
 use esched_core::Pool;
-use esched_opt::{kkt_report, solve_admm_in, EnergyProgram, SolveOptions, SolverKind};
+use esched_opt::{kkt_report, solve_admm_in, EnergyProgram, SolveOptions};
 use esched_subinterval::Timeline;
 use esched_types::PolynomialPower;
 use esched_workload::WorkloadSpec;
@@ -34,13 +27,6 @@ use std::time::Instant;
 const N: usize = 4096;
 const SWEEP_CORES: [usize; 6] = [2, 4, 6, 8, 10, 12];
 const KKT_TOL: f64 = 1e-5;
-const MIN_SPEEDUP: f64 = 5.0;
-/// Iteration cap for the interior-point reference runs (check 2). The
-/// cap counts the start, so a run takes `IP_ITER_CAP − 1` Newton steps,
-/// each about half a minute at this size on a 2-vCPU VM. A capped run
-/// only gets faster as the cap falls, so a smaller cap makes the 5× bound
-/// harder to pass, never easier.
-const IP_ITER_CAP: usize = 3;
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -83,48 +69,10 @@ fn main() {
         warm = Some((r.x, dual));
     }
 
-    // --- 2. >=5x vs interior point, best of 3, m = 4 ---
+    // --- 2. byte-identity at 1, 4, 8 workers ---
     let ep = EnergyProgram::new(&tasks, &tl, 4, power);
-    let mut admm_best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let r = solve_admm_in(&ep, &SolveOptions::fast(), &pool);
-        let wall = t0.elapsed().as_secs_f64();
-        assert!(r.converged, "cold admm at m=4 did not converge");
-        admm_best = admm_best.min(wall);
-    }
-    let mut ip_best = f64::INFINITY;
-    let mut ip_converged = false;
-    for _ in 0..3 {
-        let mut opts = SolveOptions::fast();
-        opts.max_iters = IP_ITER_CAP;
-        let t0 = Instant::now();
-        let r = SolverKind::InteriorPoint.solve(&ep, &opts);
-        let wall = t0.elapsed().as_secs_f64();
-        ip_best = ip_best.min(wall);
-        ip_converged |= r.converged;
-    }
-    let speedup = ip_best / admm_best;
-    // A capped, non-converged interior-point run lower-bounds the full
-    // solve; if even that is 5x slower the claim holds with margin.
-    assert!(
-        speedup >= MIN_SPEEDUP,
-        "admm best {admm_best:.2}s vs interior-point best {ip_best:.2}s \
-         (capped at {IP_ITER_CAP} iters, converged: {ip_converged}): \
-         speedup {speedup:.1}x < {MIN_SPEEDUP}x"
-    );
-    println!(
-        "solver_smoke: admm {admm_best:.2}s vs interior-point {ip_best:.2}s \
-         ({}) -> {speedup:.1}x (>= {MIN_SPEEDUP}x required)",
-        if ip_converged {
-            "full solve"
-        } else {
-            "lower bound, iteration-capped"
-        }
-    );
-
-    // --- 3. byte-identity at 1, 4, 8 workers ---
     let reference = solve_admm_in(&ep, &SolveOptions::fast(), &Pool::with_threads(1));
+    assert!(reference.converged, "cold admm at m=4 did not converge");
     for workers in [4usize, 8] {
         let r = solve_admm_in(&ep, &SolveOptions::fast(), &Pool::with_threads(workers));
         assert_eq!(

@@ -16,10 +16,7 @@ use esched_obs::health::SloPolicy;
 use esched_obs::json::Value;
 use esched_obs::stats::Summary;
 use esched_obs::{metrics, report};
-use esched_opt::{
-    solve_admm_in, solve_fista, solve_frank_wolfe, solve_pgd, EnergyProgram, SolveOptions,
-    SolverKind,
-};
+use esched_opt::{solve_admm_in, solve_pgd, EnergyProgram, SolveOptions, SolverKind};
 use esched_subinterval::Timeline;
 use esched_types::{validate_schedule, PolynomialPower, Schedule};
 use esched_workload::WorkloadSpec;
@@ -321,27 +318,18 @@ pub fn curated_suite() -> Vec<CuratedBench> {
         });
     }
 
-    // --- solver_ablation subset (same program, three first-order methods) ---
-    let tasks20 = paper_tasks(20, 7);
-    let tl20 = Timeline::build(&tasks20);
-    for (name, which) in [
-        ("ablation/pgd/20", 0usize),
-        ("ablation/fista/20", 1),
-        ("ablation/frank_wolfe/20", 2),
-    ] {
-        let (tasks, tl, p) = (tasks20.clone(), tl20.clone(), power);
+    // --- solver ablation: a cold PGD solve of the program ---
+    {
+        let tasks = paper_tasks(20, 7);
+        let tl = Timeline::build(&tasks);
+        let p = power;
         suite.push(CuratedBench {
-            name,
+            name: "ablation/pgd/20",
             iters: 15,
             run: Box::new(move || {
                 let ep = EnergyProgram::new(&tasks, &tl, 4, p);
                 let opts = SolveOptions::fast();
-                let obj = match which {
-                    0 => solve_pgd(&ep, ep.initial_point(), &opts).objective,
-                    1 => solve_fista(&ep, ep.initial_point(), &opts).objective,
-                    _ => solve_frank_wolfe(&ep, ep.initial_point(), &opts).objective,
-                };
-                black_box(obj);
+                black_box(solve_pgd(&ep, ep.initial_point(), &opts).objective);
             }),
         });
     }
@@ -391,12 +379,6 @@ pub fn curated_suite() -> Vec<CuratedBench> {
     // solver's per-task fan-out runs on an 8-worker pool; chunking is
     // deterministic, so these entries gate despite their size — the work
     // per iteration is a fixed, machine-independent iteration count.
-    // `opt/interior_point/4096` is the serial Newton-step cost anchor for
-    // the same sweep: `max_iters = 1` bounds it to one factorization per
-    // sweep point (a full interior-point solve at this size takes minutes,
-    // and one step is the stable unit to track). It stays advisory; the
-    // ≥5x end-to-end speedup claim is asserted by the `solver_smoke`
-    // binary, not by this timing.
     {
         let pool = Pool::with_threads(8);
         for (name, n, iters) in [
@@ -427,27 +409,6 @@ pub fn curated_suite() -> Vec<CuratedBench> {
                         black_box(r.objective);
                         let dual = r.dual.clone().unwrap_or_default();
                         warm = Some((r.x, dual));
-                    }
-                }),
-            });
-        }
-        {
-            let p = power;
-            let mut fixture: Option<(esched_types::TaskSet, Timeline)> = None;
-            suite.push(CuratedBench {
-                name: "opt/interior_point/4096",
-                iters: 2,
-                run: Box::new(move || {
-                    let (tasks, tl) = fixture.get_or_insert_with(|| {
-                        let tasks = WorkloadSpec::large_n(4096).instantiate(3);
-                        let tl = Timeline::build(&tasks);
-                        (tasks, tl)
-                    });
-                    for cores in [2usize, 4, 8, 16] {
-                        let ep = EnergyProgram::new(tasks, tl, cores, p);
-                        let mut opts = SolveOptions::fast();
-                        opts.max_iters = 1;
-                        black_box(SolverKind::InteriorPoint.solve(&ep, &opts).objective);
                     }
                 }),
             });
@@ -875,19 +836,13 @@ mod tests {
     }
 
     #[test]
-    fn admm_entries_gate_and_interior_point_anchor_is_advisory() {
+    fn admm_entries_gate_and_serial_solver_sweeps_are_advisory() {
         let _serial = serial();
         let suite = curated_suite();
         for name in ["opt/admm/1024", "opt/admm/4096", "opt/admm/16k"] {
             assert!(suite.iter().any(|b| b.name == name), "{name} missing");
             assert!(gating(name), "{name} must gate");
         }
-        assert!(suite.iter().any(|b| b.name == "opt/interior_point/4096"));
-        assert!(
-            !gating("opt/interior_point/4096"),
-            "anchor must stay advisory"
-        );
-        // The serial-solver sweeps stay advisory too.
         assert!(!gating("opt/warm_vs_cold/fig8"));
     }
 

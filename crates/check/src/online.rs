@@ -75,12 +75,9 @@ impl OnlineScript {
         match self.solver {
             Some(kind) => engine
                 .with_config(
-                    // Telemetry carries wall times, which no two runs
-                    // share; canonical outputs leave it out.
                     EngineConfig::new()
                         .with_solver(kind)
-                        .with_solve_options(SolveOptions::fast())
-                        .with_telemetry(false),
+                        .with_solve_options(SolveOptions::fast()),
                 )
                 .with_recertify(true),
             None => engine,
@@ -768,6 +765,22 @@ mod tests {
         assert_eq!(OnlineScript::from_json_str(&text).unwrap(), script);
         let bad = text.replace("\"admm\"", "\"simplex\"");
         assert!(OnlineScript::from_json_str(&bad).is_err());
+    }
+
+    /// A script naming a solver the crate no longer has is refused, not
+    /// replayed without one. The names live in a data file, one a line.
+    #[test]
+    fn a_retired_solver_is_an_unknown_solver() {
+        let script = OnlineScript {
+            solver: Some(SolverKind::Admm),
+            ..sample_script()
+        };
+        let text = script.to_json().to_string_pretty();
+        for name in include_str!("../tests/data/retired_solvers.txt").lines() {
+            let retired = text.replace("\"admm\"", &format!("\"{name}\""));
+            let err = OnlineScript::from_json_str(&retired).unwrap_err();
+            assert_eq!(err.message, "OnlineScript: unknown `solver`", "{name}");
+        }
     }
 
     #[test]

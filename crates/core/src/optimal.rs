@@ -113,12 +113,12 @@ pub fn optimal_energy_with(
 /// `a_{i,j}` by `min(1, (C_i/f_i)/A_i)` with `f_i` the final frequency of
 /// Eq. 22-23, and passes the result as the warm start. The point is
 /// feasible and its objective is `E^F2`, so a descent solver
-/// ([`SolverKind::ProjectedGradient`]) returns `energy ≤ E^F2` up to
-/// rounding. [`SolverKind::Admm`] also starts its duals at `y = −∇E(x₀)`,
-/// the consensus dual's value at an optimum. The interior point ignores
-/// warm starts, so it gets no seed; nor does an instance where some task's
-/// DER total is ≤ `EPS` (the row cannot be scaled), which starts cold. A
-/// caller's own start always wins and is used as given.
+/// ([`SolverKind::ProjectedGradient`], [`SolverKind::BlockDescent`])
+/// returns `energy ≤ E^F2` up to rounding. [`SolverKind::Admm`] also
+/// starts its duals at `y = −∇E(x₀)`, the consensus dual's value at an
+/// optimum. Only an instance where some task's DER total is ≤ `EPS` (the
+/// row cannot be scaled) gets no seed and starts cold. A caller's own
+/// start always wins and is used as given.
 #[allow(clippy::too_many_arguments)]
 pub fn optimal_energy_in_pool(
     tasks: &TaskSet,
@@ -171,7 +171,7 @@ pub fn optimal_energy_in_pool(
 
 /// `opts` with `S^F2` as its start (see [`optimal_energy_in_pool`]), or
 /// `None` where the solve keeps `opts` as given: the caller set a start,
-/// the solver takes none, or a DER total is ≤ `EPS`.
+/// or a DER total is ≤ `EPS`.
 fn der_seed(
     ep: &EnergyProgram,
     tasks: &TaskSet,
@@ -181,10 +181,7 @@ fn der_seed(
     opts: &SolveOptions,
     solver: SolverKind,
 ) -> Option<SolveOptions> {
-    if opts.warm_start.is_some()
-        || opts.warm_start_dual.is_some()
-        || solver == SolverKind::InteriorPoint
-    {
+    if opts.warm_start.is_some() || opts.warm_start_dual.is_some() {
         return None;
     }
     let ideal = ideal_schedule(tasks, power);
@@ -503,15 +500,13 @@ mod tests {
         let fast = SolveOptions::fast();
         let primal = fast.clone().with_warm_start(ep.initial_point());
         let dual = fast.clone().with_warm_start_dual(vec![0.0; ep.dim()]);
-        for solver in [SolverKind::ProjectedGradient, SolverKind::Admm] {
+        for solver in SolverKind::ALL {
             assert_solved_as_given(&primal, solver);
             assert_solved_as_given(&dual, solver);
         }
-        // The interior point takes no start, so it is never seeded.
-        assert_solved_as_given(&fast, SolverKind::InteriorPoint);
         // Without a caller start the solve is seeded: it leaves the cold
         // trajectory, and needs no more iterations.
-        for solver in [SolverKind::ProjectedGradient, SolverKind::Admm] {
+        for solver in SolverKind::ALL {
             let cold = solver.solve(&ep, &fast);
             let seeded = optimal_energy_with(&tasks, 4, &power, &fast, solver);
             assert_ne!(seeded.energy.to_bits(), cold.objective.to_bits());
@@ -549,21 +544,13 @@ mod tests {
         let p = PolynomialPower::paper(3.0, 0.05);
         let solve = |kind| optimal_energy_with(&ts, 2, &p, &SolveOptions::default(), kind);
         let a = solve(SolverKind::ProjectedGradient);
-        let b = solve(SolverKind::Fista);
-        let c = solve(SolverKind::FrankWolfe);
-        let d = solve(SolverKind::InteriorPoint);
-        let e = solve(SolverKind::BlockDescent);
-        let f = solve(SolverKind::Admm);
-        assert!((a.energy - b.energy).abs() < 1e-3 * (1.0 + a.energy));
-        assert!((a.energy - c.energy).abs() < 1e-3 * (1.0 + a.energy));
-        assert!((a.energy - d.energy).abs() < 2e-3 * (1.0 + a.energy));
-        assert!((a.energy - e.energy).abs() < 2e-3 * (1.0 + a.energy));
-        assert!((a.energy - f.energy).abs() < 2e-3 * (1.0 + a.energy));
-        // The IP, block-descent, and ADMM solutions extract legal
-        // schedules too.
-        esched_types::validate_schedule(&d.schedule, &ts).assert_legal();
-        esched_types::validate_schedule(&e.schedule, &ts).assert_legal();
-        esched_types::validate_schedule(&f.schedule, &ts).assert_legal();
+        let b = solve(SolverKind::BlockDescent);
+        let c = solve(SolverKind::Admm);
+        assert!((a.energy - b.energy).abs() < 2e-3 * (1.0 + a.energy));
+        assert!((a.energy - c.energy).abs() < 2e-3 * (1.0 + a.energy));
+        // The block-descent and ADMM solutions extract legal schedules too.
+        esched_types::validate_schedule(&b.schedule, &ts).assert_legal();
+        esched_types::validate_schedule(&c.schedule, &ts).assert_legal();
     }
 
     #[test]

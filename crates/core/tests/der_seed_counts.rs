@@ -28,8 +28,7 @@ fn warm_starts_count_seeded_solves() {
     };
     let fast = SolveOptions::fast();
     for solver in SolverKind::ALL {
-        let seeded = u64::from(solver != SolverKind::InteriorPoint);
-        assert_eq!(count(&fast, solver), seeded, "{}", solver.name());
+        assert_eq!(count(&fast, solver), 1, "{}", solver.name());
     }
     // A caller's primal start counts once, as it always did; a dual-only
     // start keeps ADMM's own cold primal and counts nothing.

@@ -8,7 +8,7 @@ use esched_opt::SolverTelemetry;
 use esched_types::Schedule;
 
 /// Summary of the optional `E^OPT` solver stage.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct OptSummary {
     /// Short solver name (see [`esched_opt::SolverKind::name`]).
     pub solver: &'static str,
@@ -23,6 +23,18 @@ pub struct OptSummary {
     /// Full telemetry — `None` when the request disabled it
     /// ([`EngineConfig::telemetry`](crate::EngineConfig::telemetry)).
     pub telemetry: Option<SolverTelemetry>,
+}
+
+/// Equality ignores `telemetry` (it holds the solve's wall time); the
+/// fields `to_json()` encodes are compared.
+impl PartialEq for OptSummary {
+    fn eq(&self, other: &Self) -> bool {
+        self.solver == other.solver
+            && self.energy == other.energy
+            && self.gap == other.gap
+            && self.iters == other.iters
+            && self.converged == other.converged
+    }
 }
 
 /// Verdict of the optional discrete-event simulation cross-check.

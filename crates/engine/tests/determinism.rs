@@ -63,6 +63,23 @@ fn repeated_runs_are_identical() {
     assert_eq!(batch_json(&engine), batch_json(&engine));
 }
 
+/// Outcome equality covers what `to_json()` encodes, so two runs of one
+/// request compare equal under the default config, whose solver
+/// telemetry carries each run's own wall time.
+#[test]
+fn repeated_runs_compare_equal_with_default_telemetry() {
+    let config = EngineConfig::new().with_solver(SolverKind::ProjectedGradient);
+    assert!(config.telemetry);
+    let mut gen = WorkloadGenerator::new(GeneratorConfig::paper_default().with_tasks(10), 9000);
+    let request = ScheduleRequest::new(gen.generate(), 4, PolynomialPower::paper(3.0, 0.1))
+        .with_config(config);
+    let engine = Engine::with_threads(1);
+    let first = engine.run(&request).expect("no job panicked");
+    let second = engine.run(&request).expect("no job panicked");
+    assert!(first.opt.as_ref().and_then(|o| o.telemetry).is_some());
+    assert_eq!(first, second);
+}
+
 /// Request-scoped tracing and the flight recorder are observability-only:
 /// with a request-scoped Chrome sink installed and the recorder on, the
 /// outcome JSON must stay byte-identical across worker counts (request

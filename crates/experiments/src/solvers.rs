@@ -1,11 +1,9 @@
-//! Solver study: convergence and agreement of the six solvers on the
-//! energy program, at several instance sizes — three first-order methods
-//! (projected gradient, FISTA, Frank–Wolfe), the structure-exploiting
-//! interior point, exact block-coordinate descent, and the decomposed
-//! parallel consensus ADMM.
+//! Solver study: convergence and agreement of the three solvers on the
+//! energy program, at several instance sizes — projected gradient, exact
+//! block-coordinate descent, and the decomposed parallel consensus ADMM.
 //!
 //! This is the evidence behind choosing projected gradient as the default
-//! `E^OPT` solver and behind trusting the NEC normalizations: all six
+//! `E^OPT` solver and behind trusting the NEC normalizations: all three
 //! methods must agree to well below the margins the figures report, with
 //! certified duality gaps.
 
@@ -41,7 +39,7 @@ pub struct SolverRun {
     pub telemetry: SolverTelemetry,
 }
 
-/// Run all six solvers on instances of each size.
+/// Run all three solvers on instances of each size.
 pub fn run(sizes: &[usize], seed: u64) -> Vec<SolverRun> {
     let mut out = Vec::new();
     for &n in sizes {
@@ -171,8 +169,8 @@ mod tests {
     #[test]
     fn all_solvers_agree_within_tolerance() {
         let runs = run(&[10], 77);
-        assert_eq!(runs.len(), SolverKind::ALL.len());
-        assert_eq!(runs.len(), 6);
+        let names: Vec<_> = runs.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["pgd", "block_descent", "admm"]);
         let lo = runs
             .iter()
             .map(|r| r.objective)

@@ -321,8 +321,7 @@ pub fn schedule_trace_seconds(cores: usize, segments: &[TraceSegment]) -> Value 
 /// type into this plain record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergencePoint {
-    /// Iteration number (sweeps for block descent, Newton steps for the
-    /// barrier method).
+    /// Iteration number (sweeps for block descent, rounds for ADMM).
     pub iter: usize,
     /// Objective value at this iterate.
     pub objective: f64,
@@ -330,8 +329,8 @@ pub struct ConvergencePoint {
     /// gap check; non-finite values are skipped in the rendering).
     pub gap: f64,
     /// Step size / step-quality scalar (solver-specific: step length for
-    /// the gradient methods, `γ` for Frank–Wolfe, objective decrease for
-    /// block descent, barrier `μ` progress for interior point).
+    /// PGD, objective decrease for block descent, primal residual norm
+    /// for ADMM).
     pub step: f64,
 }
 

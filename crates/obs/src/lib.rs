@@ -69,8 +69,7 @@
 //! ├── allocate_der | allocate_even      (esched-core, DEBUG; n_heavy field)
 //! └── refine_frequencies                (esched-core, DEBUG)
 //! reclaim_der / quantize_schedule       (esched-core, DEBUG)
-//! solve_pgd|fista|frank_wolfe|
-//!   block_descent|barrier               (esched-opt, DEBUG; WARN on cap)
+//! solve_pgd|block_descent|admm          (esched-opt, DEBUG; WARN on cap)
 //! simulate                              (esched-sim, INFO; counter event)
 //! check_fuzz                            (esched-check, INFO; per-iteration
 //!                                        violation / shrink counters)

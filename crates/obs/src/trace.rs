@@ -571,7 +571,7 @@ mod tests {
         assert_eq!(f.max_level(), Level::Trace as u8);
         assert!(f.passes(Level::Debug, "esched_core::allocation"));
         assert!(!f.passes(Level::Trace, "esched_core::allocation"));
-        assert!(f.passes(Level::Trace, "esched_opt::fista"));
+        assert!(f.passes(Level::Trace, "esched_opt::gradient"));
         // Bare level applies to unmatched targets.
         assert!(f.passes(Level::Info, "esched_sim::engine"));
         assert!(!f.passes(Level::Debug, "esched_sim::engine"));

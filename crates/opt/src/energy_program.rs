@@ -21,8 +21,8 @@
 //! subinterval — so Euclidean projection decomposes blockwise
 //! ([`crate::projection`]). This module owns the variable layout, the
 //! objective/gradient oracle, blockwise projection and LMO, and a feasible
-//! starting point. The solvers in [`crate::gradient`], [`crate::fista`],
-//! and [`crate::frank_wolfe`] are generic over this oracle.
+//! starting point. The solvers in [`crate::gradient`],
+//! [`crate::block_descent`] and [`crate::admm`] all read this oracle.
 
 // Indexed loops below walk several parallel arrays at once; iterator
 // zips would obscure the numerics. Silence clippy's range-loop lint here.
@@ -359,19 +359,6 @@ impl EnergyProgram {
             }
         }
         true
-    }
-
-    /// Per-task execution times by subinterval: `result[i][j_local]`
-    /// aligned with the task's span. Used to materialize a schedule from a
-    /// solution.
-    pub fn per_task_allocation(&self, x: &[f64]) -> Vec<Vec<(usize, f64)>> {
-        (0..self.works.len())
-            .map(|i| {
-                let (a, b) = self.spans[i];
-                let o = self.offsets[i];
-                (a..b).map(|j| (j, x[o + (j - a)])).collect()
-            })
-            .collect()
     }
 }
 

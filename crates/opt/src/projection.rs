@@ -7,7 +7,7 @@
 //! `Σ_i x_{i,j} ≤ m·Δ_j`. Projection therefore decomposes blockwise, and
 //! this module provides the one single-block kernel, `project_block`.
 //! Every projection in the crate runs it: [`crate::EnergyProgram::project`]
-//! (unit weights, cap `Δ_j`; so PGD, FISTA, the KKT report and every
+//! (unit weights, cap `Δ_j`; so PGD, the KKT report and every
 //! warm-start repair), [`project_capped_simplex`] (unit weights, a cap per
 //! coordinate) and ADMM's z-step (its penalties `ρ_k`, cap `Δ_j`).
 //!

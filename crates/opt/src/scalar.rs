@@ -2,9 +2,8 @@
 //! and golden-section minimization.
 //!
 //! These primitives back block-coordinate descent's waterfilling
-//! (bisection), the ADMM per-task prox (safeguarded Newton), Frank–Wolfe
-//! line search (golden section), and the power-curve fit (golden section
-//! over the exponent). The capped-simplex projection needs none of them:
+//! (bisection), the ADMM per-task prox (safeguarded Newton), and the
+//! power-curve fit (golden section over the exponent). The capped-simplex projection needs none of them:
 //! it solves its multiplier exactly by a breakpoint sweep.
 
 /// Default tolerance for scalar solves.

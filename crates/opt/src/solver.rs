@@ -1,11 +1,11 @@
 //! Shared solver options and result types for the energy-program solvers,
-//! plus [`SolverKind`] — the by-value handle that dispatches to the six
+//! plus [`SolverKind`] — the by-value handle that dispatches to the three
 //! entry points so callers can pick a solver without function pointers.
 
 use crate::energy_program::EnergyProgram;
 use esched_obs::pool::Pool;
 
-/// Options shared by all first-order solvers.
+/// Options shared by all solvers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveOptions {
     /// Hard iteration cap.
@@ -22,12 +22,10 @@ pub struct SolveOptions {
     /// How often (in iterations) to evaluate the duality gap; the gap costs
     /// a gradient + LMO, so checking every iteration is wasteful.
     pub gap_check_every: usize,
-    /// Optional starting iterate for the warm-startable solvers (PGD,
-    /// FISTA, Frank–Wolfe, block descent). Validated against the program's
-    /// dimension and projected onto the feasible set before use; a
-    /// mismatched or absent warm start falls back to
-    /// [`EnergyProgram::initial_point`]. The barrier solver ignores it
-    /// (its central-path start must be strictly interior).
+    /// Optional starting iterate; every solver honours it. Validated
+    /// against the program's dimension and projected onto the feasible set
+    /// before use; a mismatched or absent warm start falls back to
+    /// [`EnergyProgram::initial_point`].
     pub warm_start: Option<Vec<f64>>,
     /// Optional starting dual point (per-variable multipliers, length
     /// [`EnergyProgram::dim`]) for solvers that maintain one — currently
@@ -159,8 +157,7 @@ pub(crate) fn sanitize_start(ep: &EnergyProgram, x0: Vec<f64>) -> Vec<f64> {
 
 /// Which method solves the energy program.
 ///
-/// The six free functions ([`crate::solve_pgd`], [`crate::solve_fista`],
-/// [`crate::solve_frank_wolfe`], [`crate::solve_barrier`],
+/// The three free functions ([`crate::solve_pgd`],
 /// [`crate::solve_block_descent`], [`crate::solve_admm`]) remain the
 /// low-level entry points; [`SolverKind::solve`] dispatches to them so
 /// configuration surfaces (`EngineConfig`, the solver study, CLI flags)
@@ -171,14 +168,8 @@ pub enum SolverKind {
     /// Projected gradient descent with backtracking (default).
     #[default]
     ProjectedGradient,
-    /// FISTA with adaptive restart.
-    Fista,
-    /// Frank–Wolfe with golden-section line search.
-    FrankWolfe,
-    /// Primal log-barrier interior point (the paper's named method).
-    InteriorPoint,
     /// Gauss–Seidel block-coordinate descent with exact waterfilling
-    /// block solves.
+    /// block solves: the independent reference.
     BlockDescent,
     /// Consensus ADMM: per-task subproblems solved exactly (safeguarded
     /// Newton on the log of the task's share total) and split across a
@@ -191,20 +182,16 @@ pub enum SolverKind {
 }
 
 impl SolverKind {
-    /// All six kinds, in study order.
-    pub const ALL: [SolverKind; 6] = [
+    /// All three kinds, in study order.
+    pub const ALL: [SolverKind; 3] = [
         SolverKind::ProjectedGradient,
-        SolverKind::Fista,
-        SolverKind::FrankWolfe,
-        SolverKind::InteriorPoint,
         SolverKind::BlockDescent,
         SolverKind::Admm,
     ];
 
-    /// Solve `ep` with this method. First-order methods and block descent
-    /// start from [`SolveOptions::warm_start`] when it is set (validated
-    /// and projected), otherwise from [`EnergyProgram::initial_point`];
-    /// the barrier solver always chooses its own interior starting point.
+    /// Solve `ep` with this method, starting from
+    /// [`SolveOptions::warm_start`] when it is set (validated and
+    /// projected), otherwise from [`EnergyProgram::initial_point`].
     pub fn solve(&self, ep: &EnergyProgram, opts: &SolveOptions) -> SolveResult {
         // A fresh env-sized pool per solve: the pool struct is one usize
         // (threads spawn per call), so this is free, and it keeps
@@ -227,9 +214,6 @@ impl SolverKind {
         };
         match self {
             SolverKind::ProjectedGradient => crate::gradient::solve_pgd(ep, start(ep), opts),
-            SolverKind::Fista => crate::fista::solve_fista(ep, start(ep), opts),
-            SolverKind::FrankWolfe => crate::frank_wolfe::solve_frank_wolfe(ep, start(ep), opts),
-            SolverKind::InteriorPoint => crate::barrier::solve_barrier(ep, opts),
             SolverKind::BlockDescent => {
                 crate::block_descent::solve_block_descent_from(ep, start(ep), opts)
             }
@@ -241,9 +225,6 @@ impl SolverKind {
     pub fn name(&self) -> &'static str {
         match self {
             SolverKind::ProjectedGradient => "pgd",
-            SolverKind::Fista => "fista",
-            SolverKind::FrankWolfe => "frank_wolfe",
-            SolverKind::InteriorPoint => "interior_point",
             SolverKind::BlockDescent => "block_descent",
             SolverKind::Admm => "admm",
         }
@@ -264,8 +245,8 @@ impl SolverKind {
 /// per-run report (`esched_obs::report::RunReport`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolverTelemetry {
-    /// Iterations executed (sweeps for block descent, Newton steps for the
-    /// barrier method). Mirrors [`SolveResult::iters`].
+    /// Iterations executed (sweeps for block descent, rounds for ADMM).
+    /// Mirrors [`SolveResult::iters`].
     pub iters: usize,
     /// Total iterations whose relative objective decrease fell below
     /// `rel_tol` (the stall counter's increments, summed over the run).
@@ -273,8 +254,8 @@ pub struct SolverTelemetry {
     /// Duality-gap evaluations. Each costs a gradient plus an LMO sweep,
     /// which is why [`SolveOptions::gap_check_every`] exists.
     pub gap_evals: usize,
-    /// Line-search step halvings across the whole run (backtracking and
-    /// Armijo searches; zero for solvers without one).
+    /// Step adjustments across the whole run: PGD's backtracking
+    /// halvings, ADMM's penalty rescalings, zero for block descent.
     pub backtracks: usize,
     /// Wall-clock duration of the solve, in seconds.
     pub wall_s: f64,
@@ -299,8 +280,8 @@ impl SolverTelemetry {
     /// - `esched.opt.cap_hits` — solves that exhausted the iteration cap,
     /// - `esched.opt.solve_wall_ns` — per-solve wall time histogram.
     ///
-    /// `solver` is a short stable name (`"pgd"`, `"fista"`,
-    /// `"frank_wolfe"`, `"barrier"`, `"block_descent"`).
+    /// `solver` is a short stable name (`"pgd"`, `"block_descent"`,
+    /// `"admm"`).
     pub fn publish(&self, solver: &str) {
         use esched_obs::{metric_counter, metric_histogram, metrics};
         metric_counter!("esched.opt.solves").inc();
@@ -319,20 +300,19 @@ impl SolverTelemetry {
 /// One per-iteration convergence sample, recorded when
 /// [`SolveOptions::trace_iters`] is on.
 ///
-/// All six solvers emit the same shape; `step` is the solver's own
-/// step-quality scalar — accepted step size for PGD/FISTA, the line-search
-/// `γ` for Frank–Wolfe, the Armijo step for the barrier's Newton steps,
-/// the per-sweep objective decrease for block descent, and the primal
-/// residual norm for ADMM.
+/// All three solvers emit the same shape; `step` is the solver's own
+/// step-quality scalar — the accepted step size for PGD, the per-sweep
+/// objective decrease for block descent, and the primal residual norm
+/// for ADMM.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterSample {
-    /// 1-based iteration number (sweep / Newton step for the non-first-
-    /// order methods).
+    /// 1-based iteration number (sweep for block descent, round for
+    /// ADMM).
     pub iter: usize,
     /// Objective value after the iteration.
     pub objective: f64,
-    /// Last known certified duality gap (`inf` until the first gap check;
-    /// Frank–Wolfe updates it every iteration for free).
+    /// Last known certified duality gap (`inf` until the first gap
+    /// check).
     pub gap: f64,
     /// Solver-specific step scalar (see type docs).
     pub step: f64,

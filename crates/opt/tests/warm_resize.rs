@@ -9,8 +9,7 @@
 //! optimum's per-task totals into the new geometry.
 
 use esched_opt::{
-    kkt_report, solve_block_descent_from, solve_fista, solve_pgd, EnergyProgram, SolveOptions,
-    SolverKind,
+    kkt_report, solve_block_descent_from, solve_pgd, EnergyProgram, SolveOptions, SolverKind,
 };
 use esched_subinterval::Timeline;
 use esched_types::{PolynomialPower, TaskSet};
@@ -50,10 +49,6 @@ fn wrong_dimension_warm_start_does_not_panic_and_still_converges() {
             solve_pgd(&ep_new, stale.clone(), &SolveOptions::precise()),
         ),
         (
-            "fista",
-            solve_fista(&ep_new, stale.clone(), &SolveOptions::precise()),
-        ),
-        (
             "block_descent",
             solve_block_descent_from(&ep_new, stale.clone(), &SolveOptions::precise()),
         ),
@@ -86,11 +81,7 @@ fn solver_kind_with_stale_warm_start_on_grown_program_is_safe() {
     let cold = SolverKind::ProjectedGradient
         .solve(&ep_new, &SolveOptions::precise())
         .objective;
-    for kind in [
-        SolverKind::ProjectedGradient,
-        SolverKind::Fista,
-        SolverKind::BlockDescent,
-    ] {
+    for kind in [SolverKind::ProjectedGradient, SolverKind::BlockDescent] {
         let opts = SolveOptions::precise().with_warm_start(stale.clone());
         let r = kind.solve(&ep_new, &opts);
         assert_eq!(r.x.len(), ep_new.dim());

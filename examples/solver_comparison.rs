@@ -1,4 +1,4 @@
-//! The five ways this workspace computes `E^OPT`, head to head on one
+//! The three ways this workspace computes `E^OPT`, head to head on one
 //! instance — with certificates.
 //!
 //! ```text
@@ -26,10 +26,8 @@ fn main() {
     );
     let solvers = [
         ("projected gradient", SolverKind::ProjectedGradient),
-        ("FISTA", SolverKind::Fista),
-        ("Frank-Wolfe", SolverKind::FrankWolfe),
-        ("interior point", SolverKind::InteriorPoint),
         ("block descent", SolverKind::BlockDescent),
+        ("ADMM", SolverKind::Admm),
     ];
     let mut best: Option<(f64, SolverKind)> = None;
     for (name, solver) in solvers {

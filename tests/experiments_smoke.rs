@@ -92,19 +92,8 @@ fn solvers_study_runs_on_a_small_instance() {
     // The full run_and_report sweeps n ∈ {10, 20, 40}, which is release-
     // build territory; smoke-test the machinery on one small instance.
     let runs = solvers::run(&[8], 1);
-    assert_eq!(runs.len(), 6);
     let names: Vec<&str> = runs.iter().map(|r| r.name).collect();
-    assert_eq!(
-        names,
-        vec![
-            "pgd",
-            "fista",
-            "frank_wolfe",
-            "interior_point",
-            "block_descent",
-            "admm"
-        ]
-    );
+    assert_eq!(names, vec!["pgd", "block_descent", "admm"]);
     for r in &runs {
         assert!(r.objective.is_finite() && r.objective > 0.0);
     }
