@@ -1,7 +1,8 @@
-//! `solver_smoke` — the CI gate for the decomposed ADMM E^OPT solver.
+//! `solver_smoke` — the CI gate for the decomposed ADMM and the exact
+//! E^OPT solvers.
 //!
-//! Two checks at n = 4096 (grid-snapped `WorkloadSpec::large_n`), both
-//! fatal on failure:
+//! Three checks, all fatal on failure. Two at n = 4096 (grid-snapped
+//! `WorkloadSpec::large_n`):
 //!
 //! 1. **Fig8-style cores sweep certifies**: every point of the
 //!    `m ∈ {2, 4, 6, 8, 10, 12}` sweep (`α = 3`, `p₀ = 0.2`), solved by
@@ -16,9 +17,15 @@
 //!    CI additionally launches this binary under
 //!    `ESCHED_ENGINE_THREADS=4`, which sizes every pool the harness
 //!    creates implicitly; the explicit pools cover 1 and 8 regardless.
+//!
+//! And one at n = 16384:
+//!
+//! 3. **The exact solver certifies at scale**: `large_n(16384)` seed 1000
+//!    (`m = 4`, `α = 3`, `p₀ = 0.2`), solved by [`solve_exact`], must pass
+//!    the KKT certificate at 1e-9.
 
 use esched_core::Pool;
-use esched_opt::{kkt_report, solve_admm_in, EnergyProgram, SolveOptions};
+use esched_opt::{kkt_report, solve_admm_in, solve_exact, EnergyProgram, SolveOptions};
 use esched_subinterval::Timeline;
 use esched_types::PolynomialPower;
 use esched_workload::WorkloadSpec;
@@ -27,6 +34,8 @@ use std::time::Instant;
 const N: usize = 4096;
 const SWEEP_CORES: [usize; 6] = [2, 4, 6, 8, 10, 12];
 const KKT_TOL: f64 = 1e-5;
+const EXACT_N: usize = 16_384;
+const EXACT_KKT_TOL: f64 = 1e-9;
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -90,4 +99,23 @@ fn main() {
         assert_eq!(r.iters, reference.iters);
     }
     println!("solver_smoke: n={N} m=4 solve byte-identical at 1/4/8 workers");
+
+    // --- 3. the exact solver at n = 16384, certified at 1e-9 ---
+    let tasks = WorkloadSpec::large_n(EXACT_N).instantiate(1000);
+    let ep = EnergyProgram::new(&tasks, &Timeline::build(&tasks), 4, power);
+    let t0 = Instant::now();
+    let r = solve_exact(&ep, &SolveOptions::fast());
+    let wall = t0.elapsed().as_secs_f64();
+    let kkt = kkt_report(&ep, &r.x);
+    assert!(
+        kkt.is_optimal(EXACT_KKT_TOL),
+        "exact n={EXACT_N}: KKT certificate failed at {EXACT_KKT_TOL:e}: {kkt:?}"
+    );
+    println!(
+        "solver_smoke: exact n={EXACT_N} m=4 certified at {EXACT_KKT_TOL:e} in {wall:.2}s \
+         ({} max-flows, {} levels, obj {:.6e})",
+        r.iters,
+        r.levels.as_ref().map_or(0, Vec::len),
+        r.objective
+    );
 }

@@ -48,9 +48,9 @@ pub enum OracleClass {
     /// validator⟺simulator oracle, or the final online outcome is not
     /// byte-identical to a from-scratch run on the same task set.
     Online,
-    /// The decomposed ADMM solver disagrees with a serial solver beyond
-    /// the agreement band, or its solution fails the independent KKT
-    /// certificate.
+    /// The decomposed ADMM solver or the exact solver disagrees with the
+    /// reference optimum beyond the agreement band, or its solution fails
+    /// the independent KKT certificate.
     SolverAgreement,
 }
 
@@ -191,7 +191,7 @@ pub fn check_instance(inst: &Instance) -> Vec<OracleViolation> {
     }
     check_allocation(inst, &timeline, &mut out);
     if let Some(opt) = &opt {
-        check_admm_agreement(inst, &timeline, opt, &mut out);
+        check_solver_agreement(inst, &timeline, opt, &mut out);
     }
     out
 }
@@ -199,13 +199,19 @@ pub fn check_instance(inst: &Instance) -> Vec<OracleViolation> {
 /// Relative band for the decomposed-vs-serial solver agreement oracle.
 pub const ADMM_AGREE_TOL: f64 = 2e-5;
 
-/// Differential check of the decomposed parallel solver: ADMM must land
-/// within [`ADMM_AGREE_TOL`] (relative) of the serial projected-gradient
-/// objective, and its solution must pass the solver-independent KKT
-/// certificate. Exercised on every fuzz instance, so the 3-seed × 2000-
-/// iteration CI battery covers the decomposition across the whole
-/// instance distribution.
-fn check_admm_agreement(
+/// Relative KKT tolerance the exact solver's point must pass wherever the
+/// reference certifies.
+pub const EXACT_KKT_TOL: f64 = 1e-9;
+
+/// Differential check of the decomposed parallel solver and the exact
+/// solver, both run cold on the instance's program: each must land within
+/// [`ADMM_AGREE_TOL`] (relative) of the reference objective, the
+/// optimum [`optimal_energy`] returned, and its solution must pass the
+/// solver-independent KKT certificate, ADMM at 1e-5 and the exact solver
+/// at [`EXACT_KKT_TOL`]. Exercised on every fuzz instance, so the 3-seed ×
+/// 2000-iteration CI battery covers both across the whole instance
+/// distribution.
+fn check_solver_agreement(
     inst: &Instance,
     timeline: &Timeline,
     opt: &OptimalSolution,
@@ -213,48 +219,51 @@ fn check_admm_agreement(
 ) {
     use esched_opt::{kkt_report, EnergyProgram, SolverKind};
     let ep = EnergyProgram::new(&inst.tasks, timeline, inst.cores, inst.power);
-    let Some(sol) = run_caught("solve_admm", out, || {
-        SolverKind::Admm.solve(&ep, &SolveOptions::default())
-    }) else {
-        return;
-    };
+    let mut legs = Vec::new();
+    for (kind, kkt_tol) in [(SolverKind::Admm, 1e-5), (SolverKind::Exact, EXACT_KKT_TOL)] {
+        let label = format!("solve_{}", kind.name());
+        if let Some(sol) = run_caught(&label, out, || kind.solve(&ep, &SolveOptions::default())) {
+            legs.push((kind.name(), sol, kkt_tol));
+        }
+    }
     // Differential, like every oracle here: the checks are anchored to
-    // instances where the serial reference point itself certifies. On
+    // instances where the reference point itself certifies. On
     // degenerate fuzz instances (near-zero work, extreme scale ratios)
     // the X_FLOOR regularization leaves the floored objective flat while
     // the gradient still points inward, so *no* solver's point can pass
     // KKT and uncertified objectives say nothing about each other — the
-    // meaningful contract is "wherever PGD certifies, ADMM certifies and
-    // agrees".
+    // meaningful contract is "wherever the reference certifies, ADMM and
+    // the exact solver certify and agree".
     let reference = kkt_report(&ep, &opt.x);
     if !reference.is_optimal(1e-5) {
         return;
     }
-    // Compare program objectives at the two points — NOT `opt.energy`,
-    // which is the post-processed *schedule* energy and legitimately
-    // differs from the convex objective (dust-cleaning rounds tiny
-    // shares).
+    // Compare program objectives at the points — NOT `opt.energy`, which
+    // is the solver's objective before the dust clean and the starvation
+    // repair moved `opt.x`.
     let scale = 1.0 + reference.objective.abs();
-    if (sol.objective - reference.objective).abs() > ADMM_AGREE_TOL * scale {
-        out.push(OracleViolation {
-            class: OracleClass::SolverAgreement,
-            message: format!(
-                "admm objective {} vs pgd {} (|diff| = {:e} > {ADMM_AGREE_TOL:e} relative)",
-                sol.objective,
-                reference.objective,
-                (sol.objective - reference.objective).abs() / scale
-            ),
-        });
-    }
-    let report = kkt_report(&ep, &sol.x);
-    if !report.is_optimal(1e-5) {
-        out.push(OracleViolation {
-            class: OracleClass::SolverAgreement,
-            message: format!(
-                "admm solution fails KKT where the reference certifies: residual {:e}, gap {:e}, feasibility {:e}",
-                report.projected_gradient_residual, report.duality_gap, report.feasibility_violation
-            ),
-        });
+    for (name, sol, kkt_tol) in legs {
+        if (sol.objective - reference.objective).abs() > ADMM_AGREE_TOL * scale {
+            out.push(OracleViolation {
+                class: OracleClass::SolverAgreement,
+                message: format!(
+                    "{name} objective {} vs reference {} (|diff| = {:e} > {ADMM_AGREE_TOL:e} relative)",
+                    sol.objective,
+                    reference.objective,
+                    (sol.objective - reference.objective).abs() / scale
+                ),
+            });
+        }
+        let report = kkt_report(&ep, &sol.x);
+        if !report.is_optimal(kkt_tol) {
+            out.push(OracleViolation {
+                class: OracleClass::SolverAgreement,
+                message: format!(
+                    "{name} solution fails KKT at {kkt_tol:e} where the reference certifies: residual {:e}, gap {:e}, feasibility {:e}",
+                    report.projected_gradient_residual, report.duality_gap, report.feasibility_violation
+                ),
+            });
+        }
     }
 }
 

@@ -18,7 +18,7 @@
 
 use crate::packing::{pack_subinterval, PackItem};
 use crate::yds::yds_schedule;
-use esched_subinterval::{min_feasible_frequency, Timeline};
+use esched_subinterval::Timeline;
 use esched_types::time::EPS;
 use esched_types::{PolynomialPower, Schedule, Segment, TaskId, TaskSet};
 
@@ -96,8 +96,10 @@ pub fn partitioned_yds(tasks: &TaskSet, cores: usize, power: &PolynomialPower) -
 }
 
 /// Uniform-frequency baseline: every task runs at the minimum globally
-/// feasible frequency `f*`; a feasible per-(task, subinterval) spread at
-/// that frequency is computed exactly by max-flow
+/// feasible frequency `f*`, which is exactly `1/λ₁`, the first level of
+/// the exact solver's decomposition
+/// ([`esched_opt::min_uniform_frequency`]); a feasible per-(task,
+/// subinterval) spread at that frequency is computed exactly by max-flow
 /// ([`esched_opt::flow::feasible_allocation`] — the ref-\[4\] reduction)
 /// and packed by Algorithm 1.
 pub fn uniform_frequency(
@@ -107,19 +109,11 @@ pub fn uniform_frequency(
 ) -> BaselineOutcome {
     assert!(cores > 0);
     let timeline = Timeline::build(tasks);
-    // The interval-based bound is only *necessary* on multiprocessors
-    // (parallelism constraints can bite without any contained-demand
-    // overload), so refine it with the exact flow oracle, then bump by a
-    // relative hair so the flow at the chosen frequency is numerically
-    // feasible.
-    let lower = min_feasible_frequency(tasks, cores).max(EPS);
-    let f_star = if esched_opt::feasible_at_frequency(tasks, &timeline, cores, lower) {
-        lower
-    } else {
-        esched_opt::min_frequency_by_flow(tasks, &timeline, cores, 1e-9)
-    } * (1.0 + 1e-9);
+    // Bump by a relative hair so the flow at the chosen frequency is
+    // numerically feasible.
+    let f_star = esched_opt::min_uniform_frequency(tasks, &timeline, cores) * (1.0 + 1e-9);
     let x = esched_opt::flow::feasible_allocation(tasks, &timeline, cores, f_star)
-        .expect("flow-certified frequency is feasible");
+        .expect("the minimum uniform frequency is feasible");
 
     // Pack per subinterval.
     let mut schedule = Schedule::new(cores);

@@ -7,19 +7,19 @@
 //! of Theorem 1's proof — materializes the optimal `x_{i,j}` into a
 //! collision-free schedule via Algorithm 1.
 //!
-//! Unless the caller brings its own start, a solve starts at the DER
-//! heuristic's final schedule `S^F2` (Section V.C): its per-subinterval
-//! execution times `a_{i,j}·min(1, (C_i/f_i)/A_i)` are a feasible point of
-//! the same program whose objective is `E^F2`, typically within a few
-//! percent of the optimum. So a descent solver starts close, and the
-//! `E^OPT ≤ E^F2` lower bound holds by construction.
+//! Unless the caller brings its own start, a solve starts at the exact
+//! optimum ([`esched_opt::exact`], Fujishige's decomposition): the named
+//! iterative solver certifies that point with its own duality gap and
+//! returns it at once, and iterates only where the point fails to certify.
+//! So the iterative solvers are the safety net, not the work, and the
+//! `E^OPT ≤ E^F2` lower bound holds because `S^F2` is a feasible point of
+//! the same program.
 
-use crate::allocation::{allocate, AllocRequest};
-use crate::ideal::ideal_schedule;
 use crate::packing::{pack_subinterval, PackItem};
-use crate::refine::{final_assignment, final_scale};
 use crate::Pool;
-use esched_opt::{EnergyProgram, SolveOptions, SolveResult, SolverKind, SolverTelemetry};
+use esched_opt::{
+    solve_exact, EnergyProgram, SolveOptions, SolveResult, SolverKind, SolverTelemetry,
+};
 use esched_subinterval::Timeline;
 use esched_types::time::EPS;
 use esched_types::{PolynomialPower, Schedule, TaskSet};
@@ -108,17 +108,14 @@ pub fn optimal_energy_with(
 ///
 /// **Start point.** When `opts` carries neither
 /// [`SolveOptions::warm_start`] nor [`SolveOptions::warm_start_dual`],
-/// the solve starts at `S^F2`: this function runs [`ideal_schedule`] and
-/// a serial DER [`allocate`] on `timeline`, scales each task's row
-/// `a_{i,j}` by `min(1, (C_i/f_i)/A_i)` with `f_i` the final frequency of
-/// Eq. 22-23, and passes the result as the warm start. The point is
-/// feasible and its objective is `E^F2`, so a descent solver
-/// ([`SolverKind::ProjectedGradient`], [`SolverKind::BlockDescent`])
-/// returns `energy ≤ E^F2` up to rounding. [`SolverKind::Admm`] also
-/// starts its duals at `y = −∇E(x₀)`, the consensus dual's value at an
-/// optimum. Only an instance where some task's DER total is ≤ `EPS` (the
-/// row cannot be scaled) gets no seed and starts cold. A caller's own
-/// start always wins and is used as given.
+/// the solve starts at the exact optimum: this function runs
+/// [`solve_exact`] and passes its `x` as the warm start, and for
+/// [`SolverKind::Admm`] `y = −∇E(x)`, the consensus dual's value at an
+/// optimum, as the dual start. The named solver certifies the start with
+/// its own Frank–Wolfe gap and returns it after zero iterations, or
+/// iterates from it where it does not certify. [`SolverKind::Exact`] is
+/// the seed itself and runs once. A caller's own start always wins and is
+/// used as given.
 #[allow(clippy::too_many_arguments)]
 pub fn optimal_energy_in_pool(
     tasks: &TaskSet,
@@ -131,7 +128,7 @@ pub fn optimal_energy_in_pool(
 ) -> OptimalSolution {
     let ep = EnergyProgram::new(tasks, timeline, cores, *power);
     let seeded;
-    let opts = match der_seed(&ep, tasks, timeline, cores, power, opts, solver) {
+    let opts = match exact_seed(&ep, opts, solver) {
         Some(seed) => {
             seeded = seed;
             &seeded
@@ -169,36 +166,14 @@ pub fn optimal_energy_in_pool(
     }
 }
 
-/// `opts` with `S^F2` as its start (see [`optimal_energy_in_pool`]), or
-/// `None` where the solve keeps `opts` as given: the caller set a start,
-/// or a DER total is ≤ `EPS`.
-fn der_seed(
-    ep: &EnergyProgram,
-    tasks: &TaskSet,
-    timeline: &Timeline,
-    cores: usize,
-    power: &PolynomialPower,
-    opts: &SolveOptions,
-    solver: SolverKind,
-) -> Option<SolveOptions> {
-    if opts.warm_start.is_some() || opts.warm_start_dual.is_some() {
+/// `opts` with the exact optimum as its start (see
+/// [`optimal_energy_in_pool`]), or `None` where the solve keeps `opts` as
+/// given: the caller set a start, or the solver is the exact one.
+fn exact_seed(ep: &EnergyProgram, opts: &SolveOptions, solver: SolverKind) -> Option<SolveOptions> {
+    if opts.warm_start.is_some() || opts.warm_start_dual.is_some() || solver == SolverKind::Exact {
         return None;
     }
-    let ideal = ideal_schedule(tasks, power);
-    let avail = allocate(AllocRequest::new(tasks, timeline, cores, &ideal));
-    let assignment = final_assignment(tasks, &avail.totals(), power);
-    if assignment.avail.iter().any(|&a| a <= EPS) {
-        return None;
-    }
-    let mut scale = Vec::new();
-    final_scale(tasks, &assignment, &mut scale);
-    let mut x = vec![0.0; ep.dim()];
-    for sub in timeline.subintervals() {
-        for (&i, &a) in sub.overlapping.iter().zip(avail.col(sub.index)) {
-            let k = ep.flat_index(i, sub.index).expect("span index");
-            x[k] = a * scale[i];
-        }
-    }
+    let x = solve_exact(ep, opts).x;
     let dual = (solver == SolverKind::Admm).then(|| {
         let mut g = vec![0.0; ep.dim()];
         ep.gradient(&x, &mut g);
@@ -414,8 +389,9 @@ mod tests {
         })
     }
 
-    /// On the PGD path `E^OPT ≤ E^F2`: the solve starts at `S^F2`, whose
-    /// objective is `E^F2`, and PGD only descends.
+    /// On the PGD path `E^OPT ≤ E^F2`: the solve returns the exact optimum
+    /// of a program that `S^F2` is a feasible point of, with objective
+    /// `E^F2`.
     fn assert_opt_below_f2(tasks: &TaskSet, cores: usize, power: &PolynomialPower) {
         let opt = optimal_energy(tasks, cores, power, &SolveOptions::fast());
         let f2 = der_schedule(tasks, cores, power).final_energy;
@@ -504,18 +480,24 @@ mod tests {
             assert_solved_as_given(&primal, solver);
             assert_solved_as_given(&dual, solver);
         }
-        // Without a caller start the solve is seeded: it leaves the cold
-        // trajectory, and needs no more iterations.
+        // Without a caller start the solve is seeded with the exact
+        // optimum, which every iterative solver certifies at once.
+        let exact = SolverKind::Exact.solve(&ep, &fast);
         for solver in SolverKind::ALL {
-            let cold = solver.solve(&ep, &fast);
             let seeded = optimal_energy_with(&tasks, 4, &power, &fast, solver);
-            assert_ne!(seeded.energy.to_bits(), cold.objective.to_bits());
+            if solver == SolverKind::Exact {
+                assert_eq!(seeded.energy.to_bits(), exact.objective.to_bits());
+                continue;
+            }
+            assert_eq!(seeded.iters, 0, "{}", solver.name());
             assert!(
-                seeded.iters <= cold.iters,
-                "{} > {}",
-                seeded.iters,
-                cold.iters
+                (seeded.energy - exact.objective).abs() <= 1e-15 * exact.objective,
+                "{}: {} vs {}",
+                solver.name(),
+                seeded.energy,
+                exact.objective
             );
+            assert!(seeded.gap <= fast.gap_tol * (1.0 + seeded.energy));
         }
     }
 

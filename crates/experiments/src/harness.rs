@@ -67,37 +67,11 @@ pub struct TrialSpec {
     pub base_seed: u64,
 }
 
-/// Per-trial warm-start seeds harvested from the previous sweep point,
-/// keyed by the `(n, m)` shape they were solved under. Sweep experiments
-/// vary a platform parameter while reusing the same `base_seed`, so trial
-/// `k` at point `p+1` is the *same task set* as trial `k` at point `p`
-/// under slightly different power — the previous optimum is one projection
-/// away from the new one. A key or dimension mismatch (e.g. fig10's task
-/// count sweep) simply falls back to the cold start inside the solver.
-#[derive(Debug, Clone, Default)]
-pub struct WarmSeeds {
-    /// `(n_tasks, cores)` the seeds were solved under.
-    key: (usize, usize),
-    /// Trial-indexed final iterates of the previous point's solves.
-    by_trial: Vec<Option<Vec<f64>>>,
-}
-
-impl WarmSeeds {
-    fn seed_for(&self, spec: &TrialSpec, trial: usize) -> Option<Vec<f64>> {
-        if self.key != (spec.config.tasks, spec.cores) {
-            return None;
-        }
-        self.by_trial.get(trial)?.clone()
-    }
-}
-
 /// Build the engine requests for a spec's trials: trial `k` gets the task
 /// set generated from `base_seed + k` and a full-battery pipeline (DER
-/// schedule, fast `E^OPT` solve for NEC, optional sim cross-check).
-/// `warm` carries the previous sweep point's solutions; seeding happens
-/// here, at submission time, so results stay bit-identical regardless of
-/// worker count.
-fn trial_requests(spec: &TrialSpec, sim_verify: bool, warm: &WarmSeeds) -> Vec<ScheduleRequest> {
+/// schedule, fast `E^OPT` solve for NEC, optional sim cross-check). Each
+/// solve starts at the exact optimum, which PGD certifies at once.
+fn trial_requests(spec: &TrialSpec, sim_verify: bool) -> Vec<ScheduleRequest> {
     let config = EngineConfig::new()
         .with_solver(SolverKind::ProjectedGradient)
         .with_solve_options(SolveOptions::fast())
@@ -105,13 +79,11 @@ fn trial_requests(spec: &TrialSpec, sim_verify: bool, warm: &WarmSeeds) -> Vec<S
     (0..spec.trials)
         .map(|k| {
             let mut gen = WorkloadGenerator::new(spec.config, spec.base_seed + k as u64);
-            let mut config = config.clone();
-            config.solve_options.warm_start = warm.seed_for(spec, k);
             ScheduleRequest {
                 tasks: gen.generate(),
                 cores: spec.cores,
                 power: spec.power,
-                config,
+                config: config.clone(),
             }
         })
         .collect()
@@ -124,7 +96,7 @@ pub fn mean_nec_for(spec: &TrialSpec) -> NecPoint {
 
 /// `(mean, sample std)` of the NEC over the spec's trials (engine batch).
 pub fn nec_stats_for(spec: &TrialSpec) -> (NecPoint, NecPoint) {
-    let outcomes = Engine::new().run_batch(&trial_requests(spec, false, &WarmSeeds::default()));
+    let outcomes = Engine::new().run_batch(&trial_requests(spec, false));
     let points: Vec<NecPoint> = outcomes
         .into_iter()
         .map(|r| {
@@ -146,29 +118,11 @@ pub fn nec_stats_reported(
     point: &str,
     report: &mut RunReport,
 ) -> (NecPoint, NecPoint) {
-    let mut warm = WarmSeeds::default();
-    nec_stats_warmed(spec, point, report, &mut warm)
-}
-
-/// [`nec_stats_reported`] that additionally reads warm-start seeds from
-/// `warm` (the previous sweep point's solutions) and replaces them with
-/// this point's solutions on return — the chaining primitive behind
-/// [`ExperimentSpec::run_stats_reported`].
-pub fn nec_stats_warmed(
-    spec: &TrialSpec,
-    point: &str,
-    report: &mut RunReport,
-    warm: &mut WarmSeeds,
-) -> (NecPoint, NecPoint) {
-    let outcomes = Engine::new().run_batch(&trial_requests(spec, true, warm));
-    warm.key = (spec.config.tasks, spec.cores);
-    warm.by_trial.clear();
-    warm.by_trial.resize(outcomes.len(), None);
+    let outcomes = Engine::new().run_batch(&trial_requests(spec, true));
     let mut points: Vec<NecPoint> = Vec::with_capacity(outcomes.len());
     let base = report.trials.len() as u64;
     for (k, result) in outcomes.into_iter().enumerate() {
-        let mut outcome = result.expect("trial pipeline panicked");
-        warm.by_trial[k] = outcome.opt_x.take();
+        let outcome = result.expect("trial pipeline panicked");
         let nec = outcome.nec.expect("solver configured");
         let opt = outcome.opt.as_ref().expect("solver configured");
         let t = opt.telemetry.expect("telemetry enabled by default");
@@ -236,10 +190,6 @@ impl ExperimentSpec {
         let mut xs = Vec::new();
         let mut rows = Vec::new();
         let mut stds = Vec::new();
-        // Seed every point's solves from the previous point's solutions:
-        // sweep neighbors share task sets (same base_seed), so the
-        // previous optimum is a near-feasible guess for the next solve.
-        let mut warm = WarmSeeds::default();
         for point in &self.points {
             let spec = TrialSpec {
                 cores: point.cores,
@@ -249,7 +199,7 @@ impl ExperimentSpec {
                 base_seed,
             };
             xs.push(point.x.clone());
-            let (mean, std) = nec_stats_warmed(&spec, &point.tag, &mut report, &mut warm);
+            let (mean, std) = nec_stats_reported(&spec, &point.tag, &mut report);
             rows.push(mean);
             stds.push(std);
         }

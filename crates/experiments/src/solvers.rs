@@ -1,9 +1,9 @@
-//! Solver study: convergence and agreement of the three solvers on the
+//! Solver study: convergence and agreement of the four solvers on the
 //! energy program, at several instance sizes — projected gradient, exact
-//! block-coordinate descent, and the decomposed parallel consensus ADMM.
+//! block-coordinate descent, the decomposed parallel consensus ADMM, and
+//! the exact decomposition — each run cold.
 //!
-//! This is the evidence behind choosing projected gradient as the default
-//! `E^OPT` solver and behind trusting the NEC normalizations: all three
+//! This is the evidence behind trusting the NEC normalizations: all four
 //! methods must agree to well below the margins the figures report, with
 //! certified duality gaps.
 
@@ -39,7 +39,7 @@ pub struct SolverRun {
     pub telemetry: SolverTelemetry,
 }
 
-/// Run all three solvers on instances of each size.
+/// Run all four solvers on instances of each size.
 pub fn run(sizes: &[usize], seed: u64) -> Vec<SolverRun> {
     let mut out = Vec::new();
     for &n in sizes {
@@ -170,7 +170,7 @@ mod tests {
     fn all_solvers_agree_within_tolerance() {
         let runs = run(&[10], 77);
         let names: Vec<_> = runs.iter().map(|r| r.name).collect();
-        assert_eq!(names, ["pgd", "block_descent", "admm"]);
+        assert_eq!(names, ["pgd", "block_descent", "admm", "exact"]);
         let lo = runs
             .iter()
             .map(|r| r.objective)

@@ -74,7 +74,8 @@
 //! Frank–Wolfe duality gap of the *feasible* iterate `z` (the projection
 //! output, so feasibility violation is ~0) must fall below
 //! `gap_tol · (1 + |E|)`. The gap is also checked on the starting point,
-//! so a warm start that is already optimal returns after zero rounds.
+//! so a warm start that is already optimal returns after zero rounds, on
+//! the caller alone: it starts no team.
 
 use crate::energy_program::{EnergyProgram, X_FLOOR};
 use crate::projection::project_block;
@@ -122,7 +123,29 @@ pub fn solve_admm(ep: &EnergyProgram, opts: &SolveOptions) -> SolveResult {
 pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> SolveResult {
     let dim = ep.dim();
     let n_tasks = ep.task_count();
-    let pool = if n_tasks >= PARALLEL_MIN_TASKS {
+    let t_start = Instant::now();
+    // Primal start: consensus variable z (always feasible). The cold
+    // start allocates each subinterval's capacity *proportionally to
+    // task work* rather than evenly: price equalization at the optimum
+    // gives `X_i ∝ c_i` within a contended region, so the proportional
+    // point already has the right shape and the prices only fine-tune
+    // it — from the even split, thousands of rounds go into undoing the
+    // shape first.
+    let mut z = if let Some(x0) = opts.warm_point(ep) {
+        esched_obs::metric_counter!("esched.opt.warm_starts").inc();
+        x0
+    } else {
+        work_proportional_point(ep)
+    };
+
+    let mut fz = ep.objective(&z);
+    let mut gap = ep.duality_gap(&z);
+    let mut gap_evals = 1usize;
+    let mut gap_fresh = true;
+    let mut converged = gap <= opts.gap_tol * (1.0 + fz.abs());
+    // A start that certifies runs its zero rounds on the caller alone, so
+    // it starts no team.
+    let pool = if n_tasks >= PARALLEL_MIN_TASKS && !converged {
         pool.clone()
     } else {
         Pool::with_threads(1)
@@ -136,7 +159,6 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
         workers = members,
         max_iters = opts.max_iters
     );
-    let t_start = Instant::now();
     let (gamma, alpha, p0) = ep.power_parameters();
 
     // Box cap of every flat variable (the Δ_j of its subinterval), and
@@ -152,20 +174,6 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
         let task_caps = &caps[o..o + (b - a)];
         prox_consts.push(ProxConsts::new(task_caps, ep.work_of_task(i), gamma, alpha));
     }
-
-    // Primal start: consensus variable z (always feasible). The cold
-    // start allocates each subinterval's capacity *proportionally to
-    // task work* rather than evenly: price equalization at the optimum
-    // gives `X_i ∝ c_i` within a contended region, so the proportional
-    // point already has the right shape and the prices only fine-tune
-    // it — from the even split, thousands of rounds go into undoing the
-    // shape first.
-    let mut z = if let Some(x0) = opts.warm_point(ep) {
-        esched_obs::metric_counter!("esched.opt.warm_starts").inc();
-        x0
-    } else {
-        work_proportional_point(ep)
-    };
 
     // Penalty: *per-task* curvature matching (diagonal preconditioning),
     // `ρ_i = clamp(φ_i''(X_i⁰), …)`.
@@ -303,11 +311,6 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
     // The over-relaxed x-step point x̂, gathered from the members' parts.
     let mut x = vec![0.0_f64; dim];
 
-    let mut fz = ep.objective(&z);
-    let mut gap = ep.duality_gap(&z);
-    let mut gap_evals = 1usize;
-    let mut gap_fresh = true;
-    let mut converged = gap <= opts.gap_tol * (1.0 + fz.abs());
     let mut iters = 0usize;
     let mut stalled = 0usize;
     let mut stalls = 0usize;
@@ -553,6 +556,7 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
         telemetry,
         iter_trace,
         dual: Some(dual),
+        levels: None,
     }
 }
 

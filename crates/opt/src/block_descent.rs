@@ -111,11 +111,14 @@ pub fn solve_block_descent_from(
     let mut x = crate::solver::sanitize_start(ep, x0);
     let mut fx = ep.objective(&x);
     let mut iters = 0usize;
-    let mut converged = false;
-    let mut gap = f64::INFINITY;
+    // A start that already certifies is returned after zero sweeps.
+    let mut gap = ep.duality_gap(&x);
+    let mut gap_evals = 1usize;
+    let mut converged = gap <= opts.gap_tol * (1.0 + fx.abs());
+    let start_certified = converged;
+    let mut gap_checked = false;
     let mut stalled = 0usize;
     let mut stalls = 0usize;
-    let mut gap_evals = 0usize;
     let mut iter_trace = opts.trace_iters.then(Vec::new);
 
     // Per-block member lists (task, flat index).
@@ -127,7 +130,11 @@ pub fn solve_block_descent_from(
         })
         .collect();
 
-    let max_sweeps = opts.max_iters.max(1);
+    let max_sweeps = if start_certified {
+        0
+    } else {
+        opts.max_iters.max(1)
+    };
     for sweep in 0..max_sweeps {
         iters = sweep + 1;
         let mut totals = ep.total_times(&x);
@@ -172,6 +179,7 @@ pub fn solve_block_descent_from(
         if (sweep + 1) % opts.gap_check_every.max(1) == 0 {
             gap = ep.duality_gap(&x);
             gap_evals += 1;
+            gap_checked = true;
             if gap <= opts.gap_tol * (1.0 + fx.abs()) {
                 converged = true;
                 break;
@@ -179,7 +187,7 @@ pub fn solve_block_descent_from(
         }
     }
 
-    if !gap.is_finite() || converged {
+    if !start_certified && (converged || !gap_checked) {
         gap = ep.duality_gap(&x);
         gap_evals += 1;
     }
@@ -218,6 +226,7 @@ pub fn solve_block_descent_from(
         telemetry,
         iter_trace,
         dual: None,
+        levels: None,
     }
 }
 

@@ -14,9 +14,10 @@
 //! ```
 //!
 //! This is the exact feasibility oracle; the interval-based conditions in
-//! `esched-subinterval::analysis` are its combinatorial shadow. Binary
-//! searching the cap over this oracle yields the minimum feasible uniform
-//! frequency to any accuracy — the `O(n·f(n)·log U)` scheme of ref \[4\].
+//! `esched-subinterval::analysis` are its combinatorial shadow. The
+//! minimum feasible uniform frequency needs no search over this oracle:
+//! it is `1/λ₁`, the first level of the exact solver's decomposition
+//! ([`crate::exact::min_uniform_frequency`]).
 
 // Indexed loops below walk several parallel arrays at once; iterator
 // zips would obscure the numerics. Silence clippy's range-loop lint here.
@@ -25,125 +26,211 @@
 use esched_subinterval::Timeline;
 use esched_types::TaskSet;
 
-/// An edge in the flow network (paired with its reverse).
+/// Relative eps of the schedulability networks: capacities below this
+/// fraction of the mean source capacity count as zero. It sits above the
+/// rounding of a sum of flows (~1e-16 relative) and far below any real
+/// capacity of these instances.
+const FEASIBILITY_EPS: f64 = 1e-15;
+
+/// An edge of the residual network.
 #[derive(Debug, Clone, Copy)]
 struct Edge {
     to: usize,
-    cap: f64,
-    /// Capacity the edge was created with (for flow extraction).
-    initial_cap: f64,
-    /// Index of the reverse edge in `graph[to]`.
+    /// Index of the reverse edge in the edge array.
     rev: usize,
+    cap: f64,
+    /// Net flow pushed through the edge, summed push by push: read back
+    /// as capacity minus residual, a small flow on a large edge would
+    /// lose its low bits.
+    flow: f64,
 }
 
 /// Opaque handle to an edge, for querying its flow after `max_flow`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EdgeHandle {
-    from: usize,
-    index: usize,
-}
+pub struct EdgeHandle(usize);
 
 /// Dinic's maximum-flow solver over `f64` capacities.
+///
+/// Edges are staged as they are added and laid out once per flow in
+/// compressed rows (each node's edges contiguous, in the order they were
+/// added), in buffers that [`Dinic::reset`] keeps: a caller that solves
+/// many networks in a row, like the exact solver's splits, allocates only
+/// for the largest. The eps is per network: capacities at or below it
+/// count as zero, so it should sit a little above the rounding of the
+/// network's flow values.
 #[derive(Debug, Clone)]
 pub struct Dinic {
-    graph: Vec<Vec<Edge>>,
-    /// Capacities below this are treated as zero when building levels.
+    /// Added edges `(from, to, cap)`, in order.
+    arcs: Vec<(usize, usize, f64)>,
+    /// Node `v`'s edges are `edges[first[v]..first[v + 1]]`.
+    first: Vec<usize>,
+    edges: Vec<Edge>,
+    /// Position in `edges` of each added edge.
+    pos: Vec<usize>,
+    /// BFS distance from the source; after [`Dinic::max_flow`], `≥ 0`
+    /// exactly on the nodes reachable from it in the residual network.
+    level: Vec<i32>,
+    /// Next edge of each node in the blocking-flow search.
+    iter: Vec<usize>,
+    queue: Vec<usize>,
+    nodes: usize,
     eps: f64,
 }
 
 impl Dinic {
-    /// Create a network with `n` nodes.
-    pub fn new(n: usize) -> Self {
-        Self {
-            graph: vec![Vec::new(); n],
-            eps: 1e-12,
-        }
+    /// Create a network with `n` nodes whose capacities at or below `eps`
+    /// count as zero.
+    pub fn new(n: usize, eps: f64) -> Self {
+        let mut d = Self {
+            arcs: Vec::new(),
+            first: Vec::new(),
+            edges: Vec::new(),
+            pos: Vec::new(),
+            level: Vec::new(),
+            iter: Vec::new(),
+            queue: Vec::new(),
+            nodes: 0,
+            eps: 0.0,
+        };
+        d.reset(n, eps);
+        d
+    }
+
+    /// Empty the network and size it for `n` nodes with a new `eps`,
+    /// keeping the buffers' memory.
+    pub fn reset(&mut self, n: usize, eps: f64) {
+        assert!(eps >= 0.0 && eps.is_finite());
+        self.arcs.clear();
+        self.level.clear();
+        self.level.resize(n, -1);
+        self.nodes = n;
+        self.eps = eps;
     }
 
     /// Add a directed edge `from → to` with capacity `cap ≥ 0`. Returns a
     /// handle usable with [`Dinic::flow_of`] after [`Dinic::max_flow`].
     pub fn add_edge(&mut self, from: usize, to: usize, cap: f64) -> EdgeHandle {
         assert!(cap >= 0.0 && cap.is_finite());
-        let rev_from = self.graph[to].len();
-        let rev_to = self.graph[from].len();
-        self.graph[from].push(Edge {
-            to,
-            cap,
-            initial_cap: cap,
-            rev: rev_from,
-        });
-        self.graph[to].push(Edge {
-            to: from,
-            cap: 0.0,
-            initial_cap: 0.0,
-            rev: rev_to,
-        });
-        EdgeHandle {
-            from,
-            index: rev_to,
-        }
+        assert!(from < self.nodes && to < self.nodes);
+        self.arcs.push((from, to, cap));
+        EdgeHandle(self.arcs.len() - 1)
     }
 
-    /// Flow pushed through an edge (valid after [`Dinic::max_flow`]):
-    /// `initial capacity − residual capacity`, clamped at 0.
+    /// Flow pushed through an edge (valid after [`Dinic::max_flow`]),
+    /// clamped at 0.
     pub fn flow_of(&self, handle: EdgeHandle) -> f64 {
-        let e = &self.graph[handle.from][handle.index];
-        (e.initial_cap - e.cap).max(0.0)
+        self.edges[self.pos[handle.0]].flow.max(0.0)
     }
 
-    fn bfs_levels(&self, s: usize, t: usize) -> Option<Vec<i32>> {
-        let mut level = vec![-1; self.graph.len()];
-        let mut queue = std::collections::VecDeque::new();
-        level[s] = 0;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            for e in &self.graph[v] {
-                if e.cap > self.eps && level[e.to] < 0 {
-                    level[e.to] = level[v] + 1;
-                    queue.push_back(e.to);
-                }
-            }
-        }
-        (level[t] >= 0).then_some(level)
+    /// Whether `v` is reachable from the source in the residual network
+    /// through edges of capacity above eps: after [`Dinic::max_flow`], the
+    /// source side of the minimum cut whose source side is smallest.
+    pub fn on_source_side(&self, v: usize) -> bool {
+        self.level[v] >= 0
     }
 
-    fn dfs_augment(
-        &mut self,
-        v: usize,
-        t: usize,
-        pushed: f64,
-        level: &[i32],
-        iter: &mut [usize],
-    ) -> f64 {
-        if v == t {
-            return pushed;
+    /// Lay the added edges and their reverses out in compressed rows.
+    fn build(&mut self) {
+        let n = self.nodes;
+        self.first.clear();
+        self.first.resize(n + 1, 0);
+        for &(from, to, _) in &self.arcs {
+            self.first[from + 1] += 1;
+            self.first[to + 1] += 1;
         }
-        while iter[v] < self.graph[v].len() {
-            let (to, cap, rev) = {
-                let e = &self.graph[v][iter[v]];
-                (e.to, e.cap, e.rev)
+        for v in 0..n {
+            self.first[v + 1] += self.first[v];
+        }
+        // `iter` doubles as each row's fill cursor.
+        self.iter.clear();
+        self.iter.extend_from_slice(&self.first[..n]);
+        let blank = Edge {
+            to: 0,
+            rev: 0,
+            cap: 0.0,
+            flow: 0.0,
+        };
+        self.edges.clear();
+        self.edges.resize(2 * self.arcs.len(), blank);
+        self.pos.clear();
+        for &(from, to, cap) in &self.arcs {
+            let (f, r) = (self.iter[from], self.iter[to]);
+            self.iter[from] += 1;
+            self.iter[to] += 1;
+            self.edges[f] = Edge {
+                to,
+                rev: r,
+                cap,
+                flow: 0.0,
             };
-            if cap > self.eps && level[to] == level[v] + 1 {
-                let d = self.dfs_augment(to, t, pushed.min(cap), level, iter);
-                if d > self.eps {
-                    self.graph[v][iter[v]].cap -= d;
-                    self.graph[to][rev].cap += d;
-                    return d;
-                }
-            }
-            iter[v] += 1;
+            self.edges[r] = Edge {
+                to: from,
+                rev: f,
+                ..blank
+            };
+            self.pos.push(f);
         }
-        0.0
     }
 
-    /// Compute the maximum flow from `s` to `t`. Consumes the residual
-    /// capacities in place (call on a fresh network).
+    fn bfs_levels(&mut self, s: usize, t: usize) -> bool {
+        self.level.fill(-1);
+        self.queue.clear();
+        self.level[s] = 0;
+        self.queue.push(s);
+        let mut q = 0;
+        while q < self.queue.len() {
+            let v = self.queue[q];
+            q += 1;
+            for e in &self.edges[self.first[v]..self.first[v + 1]] {
+                if e.cap > self.eps && self.level[e.to] < 0 {
+                    self.level[e.to] = self.level[v] + 1;
+                    self.queue.push(e.to);
+                }
+            }
+        }
+        self.level[t] >= 0
+    }
+
+    /// Push up to `limit` from `v` toward `t` along the level graph; returns
+    /// the amount pushed. A node's next edge advances only past edges that
+    /// are saturated or lead to a blocked node, so one call per phase finds
+    /// a blocking flow.
+    fn push(&mut self, v: usize, t: usize, limit: f64) -> f64 {
+        if v == t {
+            return limit;
+        }
+        let mut pushed = 0.0;
+        while self.iter[v] < self.first[v + 1] {
+            let e = self.iter[v];
+            let Edge { to, rev, cap, .. } = self.edges[e];
+            if cap > self.eps && self.level[to] == self.level[v] + 1 {
+                let d = self.push(to, t, (limit - pushed).min(cap));
+                if d > 0.0 {
+                    self.edges[e].cap -= d;
+                    self.edges[e].flow += d;
+                    self.edges[rev].cap += d;
+                    self.edges[rev].flow -= d;
+                    pushed += d;
+                    if limit - pushed <= self.eps {
+                        return pushed;
+                    }
+                }
+            }
+            self.iter[v] += 1;
+        }
+        pushed
+    }
+
+    /// Compute the maximum flow from `s` to `t` over the edges added since
+    /// the last [`Dinic::reset`] (or [`Dinic::new`]).
     pub fn max_flow(&mut self, s: usize, t: usize) -> f64 {
+        self.build();
         let mut flow = 0.0;
-        while let Some(level) = self.bfs_levels(s, t) {
-            let mut iter = vec![0usize; self.graph.len()];
+        while self.bfs_levels(s, t) {
+            self.iter.clear();
+            self.iter.extend_from_slice(&self.first[..self.nodes]);
             loop {
-                let f = self.dfs_augment(s, t, f64::INFINITY, &level, &mut iter);
+                let f = self.push(s, t, f64::INFINITY);
                 if f <= self.eps {
                     break;
                 }
@@ -156,34 +243,48 @@ impl Dinic {
 
 /// Exact schedulability test: can `tasks` be feasibly scheduled on `cores`
 /// cores with every frequency at most `f_cap` (preemption + migration
-/// allowed)?
+/// allowed)? The flow must route all but `1e-12` (relative) of the demand.
 pub fn feasible_at_frequency(
     tasks: &TaskSet,
     timeline: &Timeline,
     cores: usize,
     f_cap: f64,
 ) -> bool {
+    feasibility_network(tasks, timeline, cores, f_cap).is_some()
+}
+
+/// The schedulability network at `f_cap` after its maximum flow, with the
+/// handles of its task → subinterval edges per task, or `None` when the
+/// flow falls short of the demand by more than `1e-12` relative.
+#[allow(clippy::type_complexity)]
+fn feasibility_network(
+    tasks: &TaskSet,
+    timeline: &Timeline,
+    cores: usize,
+    f_cap: f64,
+) -> Option<(Dinic, Vec<Vec<(usize, EdgeHandle)>>)> {
     assert!(f_cap > 0.0);
     let n = tasks.len();
     let nsub = timeline.len();
     // Nodes: 0 = source, 1..=n tasks, n+1..=n+nsub subintervals, last = sink.
     let source = 0;
     let sink = n + nsub + 1;
-    let mut net = Dinic::new(n + nsub + 2);
-    let mut required = 0.0;
+    let required = tasks.total_work() / f_cap;
+    let mut net = Dinic::new(n + nsub + 2, FEASIBILITY_EPS * required / n.max(1) as f64);
+    let mut handles = Vec::with_capacity(n);
     for (i, t) in tasks.iter() {
-        let need = t.wcec / f_cap;
-        required += need;
-        net.add_edge(source, 1 + i, need);
-        for j in timeline.span(i) {
-            net.add_edge(1 + i, 1 + n + j, timeline.delta(j));
-        }
+        net.add_edge(source, 1 + i, t.wcec / f_cap);
+        let row = timeline
+            .span(i)
+            .map(|j| (j, net.add_edge(1 + i, 1 + n + j, timeline.delta(j))))
+            .collect();
+        handles.push(row);
     }
     for j in 0..nsub {
         net.add_edge(1 + n + j, sink, cores as f64 * timeline.delta(j));
     }
     let flow = net.max_flow(source, sink);
-    flow >= required * (1.0 - 1e-9) - 1e-9
+    (flow >= required * (1.0 - 1e-12)).then_some((net, handles))
 }
 
 /// Compute a feasible per-(task, subinterval) execution-time matrix at
@@ -199,33 +300,8 @@ pub fn feasible_allocation(
     cores: usize,
     f_cap: f64,
 ) -> Option<Vec<Vec<f64>>> {
-    assert!(f_cap > 0.0);
-    let n = tasks.len();
-    let nsub = timeline.len();
-    let source = 0;
-    let sink = n + nsub + 1;
-    let mut net = Dinic::new(n + nsub + 2);
-    let mut required = 0.0;
-    let mut handles: Vec<Vec<(usize, super::flow::EdgeHandle)>> = Vec::with_capacity(n);
-    for (i, t) in tasks.iter() {
-        let need = t.wcec / f_cap;
-        required += need;
-        net.add_edge(source, 1 + i, need);
-        let mut row = Vec::new();
-        for j in timeline.span(i) {
-            let h = net.add_edge(1 + i, 1 + n + j, timeline.delta(j));
-            row.push((j, h));
-        }
-        handles.push(row);
-    }
-    for j in 0..nsub {
-        net.add_edge(1 + n + j, sink, cores as f64 * timeline.delta(j));
-    }
-    let flow = net.max_flow(source, sink);
-    if flow < required * (1.0 - 1e-9) - 1e-9 {
-        return None;
-    }
-    let mut x = vec![vec![0.0; nsub]; n];
+    let (net, handles) = feasibility_network(tasks, timeline, cores, f_cap)?;
+    let mut x = vec![vec![0.0; timeline.len()]; tasks.len()];
     for (i, row) in handles.iter().enumerate() {
         for &(j, h) in row {
             x[i][j] = net.flow_of(h);
@@ -234,55 +310,17 @@ pub fn feasible_allocation(
     Some(x)
 }
 
-/// Binary-search the minimum uniform frequency cap at which the instance
-/// is feasible, to relative accuracy `tol` — the ref-\[4\] scheme.
-pub fn min_frequency_by_flow(tasks: &TaskSet, timeline: &Timeline, cores: usize, tol: f64) -> f64 {
-    // Upper bound: serialize everything on one core inside the shortest
-    // window — crude but safe.
-    let mut hi = tasks
-        .iter()
-        .map(|(_, t)| t.intensity())
-        .fold(0.0_f64, f64::max)
-        .max(
-            tasks.total_work()
-                / timeline
-                    .subintervals()
-                    .iter()
-                    .map(|s| s.delta())
-                    .sum::<f64>()
-                * tasks.len() as f64,
-        )
-        .max(1e-12);
-    // Make sure hi is actually feasible (double until it is).
-    while !feasible_at_frequency(tasks, timeline, cores, hi) {
-        hi *= 2.0;
-        assert!(hi.is_finite());
-    }
-    let mut lo = 0.0;
-    while hi - lo > tol * (1.0 + hi) {
-        let mid = 0.5 * (lo + hi);
-        if mid <= 0.0 {
-            break;
-        }
-        if feasible_at_frequency(tasks, timeline, cores, mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    hi
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::min_uniform_frequency;
     use esched_subinterval::{min_feasible_frequency, Timeline};
     use esched_types::TaskSet;
 
     #[test]
     fn dinic_textbook_instance() {
         // Classic 6-node example with known max flow 23.
-        let mut d = Dinic::new(6);
+        let mut d = Dinic::new(6, 1e-12);
         d.add_edge(0, 1, 16.0);
         d.add_edge(0, 2, 13.0);
         d.add_edge(1, 2, 10.0);
@@ -298,7 +336,7 @@ mod tests {
 
     #[test]
     fn dinic_disconnected_is_zero() {
-        let mut d = Dinic::new(4);
+        let mut d = Dinic::new(4, 1e-12);
         d.add_edge(0, 1, 5.0);
         d.add_edge(2, 3, 5.0);
         assert_eq!(d.max_flow(0, 3), 0.0);
@@ -323,11 +361,13 @@ mod tests {
                 !feasible_at_frequency(&ts, &tl, m, f_interval * 0.98),
                 "m={m}"
             );
-            let f_flow = min_frequency_by_flow(&ts, &tl, m, 1e-9);
+            let f_flow = min_uniform_frequency(&ts, &tl, m);
             assert!(
-                (f_flow - f_interval).abs() < 1e-6 * (1.0 + f_interval),
+                (f_flow - f_interval).abs() < 1e-12 * f_interval,
                 "m={m}: flow {f_flow} vs interval {f_interval}"
             );
+            assert!(feasible_at_frequency(&ts, &tl, m, f_flow * (1.0 + 1e-9)));
+            assert!(!feasible_at_frequency(&ts, &tl, m, f_flow * (1.0 - 1e-9)));
         }
     }
 
@@ -341,17 +381,17 @@ mod tests {
         assert!(min_feasible_frequency(&ts, 2) <= 1.0 + 1e-12);
         assert!(!feasible_at_frequency(&ts, &tl, 2, 1.0));
         // True minimum: job 2 needs 3/f ≤ 2 + (4 − 4/f) ⇒ f ≥ 7/6.
-        let f = min_frequency_by_flow(&ts, &tl, 2, 1e-10);
-        assert!((f - 7.0 / 6.0).abs() < 1e-6, "flow minimum {f} vs 7/6");
+        let f = min_uniform_frequency(&ts, &tl, 2);
+        assert!((f - 7.0 / 6.0).abs() < 1e-12, "flow minimum {f} vs 7/6");
         assert!(feasible_at_frequency(&ts, &tl, 2, f * (1.0 + 1e-9)));
-        assert!(!feasible_at_frequency(&ts, &tl, 2, f * (1.0 - 1e-6)));
+        assert!(!feasible_at_frequency(&ts, &tl, 2, f * (1.0 - 1e-9)));
     }
 
     #[test]
     fn feasible_allocation_extracts_a_valid_spread() {
         let ts = TaskSet::from_triples(&[(0.0, 2.0, 2.0), (0.0, 2.0, 2.0), (0.0, 4.0, 3.0)]);
         let tl = Timeline::build(&ts);
-        let f = min_frequency_by_flow(&ts, &tl, 2, 1e-10) * (1.0 + 1e-9);
+        let f = min_uniform_frequency(&ts, &tl, 2) * (1.0 + 1e-9);
         let x = feasible_allocation(&ts, &tl, 2, f).expect("feasible at flow minimum");
         // Row sums = C_i / f.
         for (i, t) in ts.iter() {

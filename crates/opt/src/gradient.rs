@@ -13,7 +13,8 @@
 //! bounded away from zero; monotone descent from a feasible interior start
 //! keeps iterates in such a region (energy diverges as `X_i → 0`), so the
 //! method converges to the global optimum. Convergence is *certified* via
-//! the Frank–Wolfe duality gap, not just objective stalling.
+//! the Frank–Wolfe duality gap, not just objective stalling; a start whose
+//! gap already certifies is returned after zero iterations.
 
 use crate::energy_program::EnergyProgram;
 use crate::solver::{IterSample, SolveOptions, SolveResult, SolverTelemetry};
@@ -51,15 +52,18 @@ fn pgd(
     let mut cand = vec![0.0; dim];
     let mut step = 1.0_f64;
     let mut stalled = 0usize;
-    let mut converged = false;
     let mut iters = 0usize;
-    let mut gap = f64::INFINITY;
+    let mut gap = ep.duality_gap(&x);
+    let mut gap_evals = 1usize;
+    let mut converged = gap <= opts.gap_tol * (1.0 + fx.abs());
+    let start_certified = converged;
+    let mut gap_checked = false;
     let mut stalls = 0usize;
-    let mut gap_evals = 0usize;
     let mut backtracks = 0usize;
     let mut iter_trace = opts.trace_iters.then(Vec::new);
 
-    for it in 0..opts.max_iters {
+    let max_iters = if start_certified { 0 } else { opts.max_iters };
+    for it in 0..max_iters {
         iters = it + 1;
         ep.gradient(&x, &mut g);
 
@@ -133,6 +137,7 @@ fn pgd(
         if (it + 1) % opts.gap_check_every == 0 {
             gap = ep.duality_gap(&x);
             gap_evals += 1;
+            gap_checked = true;
             if gap <= opts.gap_tol * (1.0 + fx.abs()) {
                 converged = true;
                 break;
@@ -140,7 +145,7 @@ fn pgd(
         }
     }
 
-    if !gap.is_finite() || converged {
+    if !start_certified && (converged || !gap_checked) {
         gap = ep.duality_gap(&x);
         gap_evals += 1;
     }
@@ -180,6 +185,7 @@ fn pgd(
         telemetry,
         iter_trace,
         dual: None,
+        levels: None,
     }
 }
 

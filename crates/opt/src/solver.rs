@@ -1,5 +1,5 @@
 //! Shared solver options and result types for the energy-program solvers,
-//! plus [`SolverKind`] — the by-value handle that dispatches to the three
+//! plus [`SolverKind`] — the by-value handle that dispatches to the four
 //! entry points so callers can pick a solver without function pointers.
 
 use crate::energy_program::EnergyProgram;
@@ -157,9 +157,9 @@ pub(crate) fn sanitize_start(ep: &EnergyProgram, x0: Vec<f64>) -> Vec<f64> {
 
 /// Which method solves the energy program.
 ///
-/// The three free functions ([`crate::solve_pgd`],
-/// [`crate::solve_block_descent`], [`crate::solve_admm`]) remain the
-/// low-level entry points; [`SolverKind::solve`] dispatches to them so
+/// The four free functions ([`crate::solve_pgd`],
+/// [`crate::solve_block_descent`], [`crate::solve_admm`],
+/// [`crate::solve_exact`]) remain the low-level entry points; [`SolverKind::solve`] dispatches to them so
 /// configuration surfaces (`EngineConfig`, the solver study, CLI flags)
 /// can select a solver by value instead of threading function pointers
 /// and adapters around.
@@ -179,14 +179,20 @@ pub enum SolverKind {
     /// [`SolveResult::dual`] is `Some` and
     /// [`SolveOptions::warm_start_dual`] is honored.
     Admm,
+    /// Fujishige's decomposition algorithm ([`crate::exact`]): the exact
+    /// optimum from one maximum flow per split, plus one to recover `x`.
+    /// Serial, and it ignores every start; [`SolveResult::levels`] is
+    /// `Some`.
+    Exact,
 }
 
 impl SolverKind {
-    /// All three kinds, in study order.
-    pub const ALL: [SolverKind; 3] = [
+    /// All four kinds, in study order.
+    pub const ALL: [SolverKind; 4] = [
         SolverKind::ProjectedGradient,
         SolverKind::BlockDescent,
         SolverKind::Admm,
+        SolverKind::Exact,
     ];
 
     /// Solve `ep` with this method, starting from
@@ -218,6 +224,7 @@ impl SolverKind {
                 crate::block_descent::solve_block_descent_from(ep, start(ep), opts)
             }
             SolverKind::Admm => crate::admm::solve_admm_in(ep, opts, pool),
+            SolverKind::Exact => crate::exact::solve_exact(ep, opts),
         }
     }
 
@@ -227,6 +234,7 @@ impl SolverKind {
             SolverKind::ProjectedGradient => "pgd",
             SolverKind::BlockDescent => "block_descent",
             SolverKind::Admm => "admm",
+            SolverKind::Exact => "exact",
         }
     }
 
@@ -281,7 +289,7 @@ impl SolverTelemetry {
     /// - `esched.opt.solve_wall_ns` — per-solve wall time histogram.
     ///
     /// `solver` is a short stable name (`"pgd"`, `"block_descent"`,
-    /// `"admm"`).
+    /// `"admm"`, `"exact"`).
     pub fn publish(&self, solver: &str) {
         use esched_obs::{metric_counter, metric_histogram, metrics};
         metric_counter!("esched.opt.solves").inc();
@@ -300,10 +308,11 @@ impl SolverTelemetry {
 /// One per-iteration convergence sample, recorded when
 /// [`SolveOptions::trace_iters`] is on.
 ///
-/// All three solvers emit the same shape; `step` is the solver's own
+/// All solvers emit the same shape; `step` is the solver's own
 /// step-quality scalar — the accepted step size for PGD, the per-sweep
 /// objective decrease for block descent, and the primal residual norm
-/// for ADMM.
+/// for ADMM. The exact solver has no iterates: its trace is one sample at
+/// the solution, numbered by its maximum flows, with `step` 0.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterSample {
     /// 1-based iteration number (sweep for block descent, round for
@@ -311,8 +320,8 @@ pub struct IterSample {
     pub iter: usize,
     /// Objective value after the iteration.
     pub objective: f64,
-    /// Last known certified duality gap (`inf` until the first gap
-    /// check).
+    /// Last known certified duality gap (the start's gap until the first
+    /// check in the loop).
     pub gap: f64,
     /// Solver-specific step scalar (see type docs).
     pub step: f64,
@@ -342,4 +351,7 @@ pub struct SolveResult {
     /// [`SolveOptions::with_warm_start_dual`] to warm-start the prices on
     /// a re-solve.
     pub dual: Option<Vec<f64>>,
+    /// The optimum's levels, task groups that share one `λ = X_i/C_i`.
+    /// `Some` only for the exact solver ([`crate::exact::Level`]).
+    pub levels: Option<Vec<crate::exact::Level>>,
 }

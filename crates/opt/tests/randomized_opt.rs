@@ -2,7 +2,7 @@
 
 use esched_obs::rng::ChaCha8;
 use esched_opt::{
-    feasible_at_frequency, min_frequency_by_flow, project_capped_simplex, solve_pgd, EnergyProgram,
+    feasible_at_frequency, min_uniform_frequency, project_capped_simplex, solve_pgd, EnergyProgram,
     SolveOptions,
 };
 use esched_subinterval::Timeline;
@@ -146,14 +146,14 @@ fn flow_minimum_frequency_is_consistent() {
         let tasks = arb_task_set(&mut rng, 6);
         let cores = rng.gen_range_usize(1, 4);
         let tl = Timeline::build(&tasks);
-        let f = min_frequency_by_flow(&tasks, &tl, cores, 1e-9);
+        let f = min_uniform_frequency(&tasks, &tl, cores);
         assert!(f > 0.0 && f.is_finite());
-        assert!(feasible_at_frequency(&tasks, &tl, cores, f * (1.0 + 1e-6)));
-        assert!(!feasible_at_frequency(&tasks, &tl, cores, f * 0.95));
+        assert!(feasible_at_frequency(&tasks, &tl, cores, f * (1.0 + 1e-9)));
+        assert!(!feasible_at_frequency(&tasks, &tl, cores, f * (1.0 - 1e-9)));
         // More cores never raise the minimum frequency.
-        let f_more = min_frequency_by_flow(&tasks, &tl, cores + 1, 1e-9);
+        let f_more = min_uniform_frequency(&tasks, &tl, cores + 1);
         assert!(
-            f_more <= f * (1.0 + 1e-6),
+            f_more <= f * (1.0 + 1e-12),
             "more cores raised f*: {f_more} > {f}"
         );
     }

@@ -93,7 +93,7 @@ fn solvers_study_runs_on_a_small_instance() {
     // build territory; smoke-test the machinery on one small instance.
     let runs = solvers::run(&[8], 1);
     let names: Vec<&str> = runs.iter().map(|r| r.name).collect();
-    assert_eq!(names, vec!["pgd", "block_descent", "admm"]);
+    assert_eq!(names, vec!["pgd", "block_descent", "admm", "exact"]);
     for r in &runs {
         assert!(r.objective.is_finite() && r.objective > 0.0);
     }
